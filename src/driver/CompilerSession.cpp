@@ -26,26 +26,6 @@
 
 using namespace scmo;
 
-namespace {
-
-/// Brackets a parallel per-routine stage with the loader's acquisition
-/// schedule so the I/O thread can read ahead of the workers
-/// (--naim-prefetch). A no-op when prefetch is off; the destructor always
-/// clears, so a stage that fails mid-way cannot leak a stale schedule into
-/// the next stage's acquire pattern.
-struct ScheduleGuard {
-  Loader &Ldr;
-  ScheduleGuard(Loader &L, const std::vector<RoutineId> &Ids) : Ldr(L) {
-    if (Ldr.config().PrefetchDepth)
-      Ldr.setAcquisitionSchedule(Ids);
-  }
-  ~ScheduleGuard() { Ldr.clearAcquisitionSchedule(); }
-  ScheduleGuard(const ScheduleGuard &) = delete;
-  ScheduleGuard &operator=(const ScheduleGuard &) = delete;
-};
-
-} // namespace
-
 CompilerSession::CompilerSession(CompileOptions Opts) : Opts(std::move(Opts)) {
   if (!this->Opts.FaultInject.empty()) {
     std::string Err;
@@ -55,14 +35,6 @@ CompilerSession::CompilerSession(CompileOptions Opts) : Opts(std::move(Opts)) {
       FirstError = "invalid --fault-inject spec '" + this->Opts.FaultInject +
                    "': " + Err;
   }
-  // Resolve --naim-shards=0 (auto) to the worker-pool width before any
-  // Loader exists, so the session's loaders (including the object-rebuild
-  // replacement) all agree on the count. Placement is a stable hash of the
-  // routine id, so the resolved count never changes the executable — only
-  // how much loader traffic contends.
-  if (this->Opts.Naim.Shards == 0)
-    this->Opts.Naim.Shards =
-        this->Opts.Jobs ? this->Opts.Jobs : ThreadPool::hardwareThreads();
   Tracker = std::make_unique<MemoryTracker>();
   Tracker->setHeapCap(this->Opts.HeapCapBytes);
   Prog = std::make_unique<Program>(Tracker.get());
@@ -116,7 +88,6 @@ void CompilerSession::computeChecksums(ThreadPool &Pool) {
   for (RoutineId R = 0; R != Prog->numRoutines(); ++R)
     if (Prog->routine(R).IsDefined)
       Ids.push_back(R);
-  ScheduleGuard Sched(*Ldr, Ids);
   Pool.parallelFor(Ids.size(), [&](size_t I) {
     RoutineId R = Ids[I];
     const RoutineBody &Body = Ldr->acquireRead(R);
@@ -140,7 +111,6 @@ std::string CompilerSession::verifyRoutines(ThreadPool &Pool, bool EmittedOnly,
   // completion order) is reported, so diagnostics match the serial compiler.
   std::vector<std::string> Errors(Ids.size());
   std::atomic<bool> SawError{false};
-  ScheduleGuard Sched(*Ldr, Ids);
   Pool.parallelFor(Ids.size(), [&](size_t I) {
     if (SawError.load(std::memory_order_relaxed))
       return;
@@ -566,14 +536,11 @@ struct CompilerSession::BuildState {
       for (RoutineId R = 0; R != S.Prog->numRoutines(); ++R)
         if (S.Prog->routine(R).IsDefined)
           Ids.push_back(R);
-      {
-        ScheduleGuard Sched(*S.Ldr, Ids);
-        B.Pool.parallelFor(Ids.size(), [&](size_t I) {
-          RoutineId R = Ids[I];
-          ContentHashes[R] = contentHash(*S.Prog, S.Ldr->acquireRead(R));
-          S.Ldr->release(R);
-        });
-      }
+      B.Pool.parallelFor(Ids.size(), [&](size_t I) {
+        RoutineId R = Ids[I];
+        ContentHashes[R] = contentHash(*S.Prog, S.Ldr->acquireRead(R));
+        S.Ldr->release(R);
+      });
       // The unit plan: CMO set first — its clone replay must precede
       // anything that looks at routine ids — then one unit per default
       // module, ascending.
@@ -827,7 +794,6 @@ struct CompilerSession::BuildState {
       std::vector<LloStats> TaskStats(EmitIds.size());
       std::atomic<uint64_t> LoweredBytes{0};
       std::atomic<bool> Stop{false};
-      ScheduleGuard Sched(*S.Ldr, EmitIds);
       B.Pool.parallelFor(EmitIds.size(), [&](size_t I) {
         if (Stop.load(std::memory_order_relaxed))
           return;

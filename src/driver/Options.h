@@ -72,10 +72,8 @@ struct CompileOptions {
   /// knob is resource-only and excluded from the fingerprint, like Jobs.
   unsigned HloPartitions = 0;
 
-  /// NAIM configuration (memory management). Everything in it — including
-  /// the --naim-shards count, whose routine placement is a stable id hash —
-  /// is resource-only and fingerprint-excluded: the executable is
-  /// byte-identical at every shards x partitions x jobs combination.
+  /// NAIM configuration (memory management). Everything in it is
+  /// resource-only and fingerprint-excluded: residency never feeds codegen.
   NaimConfig Naim;
 
   /// Deterministic fault-injection spec for the NAIM spill path (the scmoc

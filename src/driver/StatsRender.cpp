@@ -54,19 +54,15 @@ std::string scmo::renderStatsText(const BuildResult &Build) {
           (unsigned long long)Build.Loader.Offloads,
           (unsigned long long)Build.Loader.CacheHits);
   appendf(Out,
-          "; loader locks: %llu shards, %llu contentions, %.3f ms waited\n",
-          (unsigned long long)Build.Loader.Shards,
+          "; loader locks: %llu contentions, %.3f ms waited\n",
           (unsigned long long)Build.Loader.Contentions,
           double(Build.Loader.LockWaitNanos) / 1e6);
   appendf(Out,
-          "; naim io: %llu elided stores, %llu queue hits, %llu "
-          "prefetch hits, %llu wasted, %llu/%llu stored/raw bytes\n",
+          "; naim io: %llu elided stores, %llu queue hits, %llu stored "
+          "bytes\n",
           (unsigned long long)Build.Loader.SpillElisions,
           (unsigned long long)Build.Loader.SpillQueueHits,
-          (unsigned long long)Build.Loader.PrefetchHits,
-          (unsigned long long)Build.Loader.PrefetchWasted,
-          (unsigned long long)Build.Loader.CompressedBytes,
-          (unsigned long long)Build.Loader.RawBytes);
+          (unsigned long long)Build.Loader.CompressedBytes);
   for (const StageMetrics &M : Build.Stages)
     appendf(Out, "; stage %-12s %8.3fs  live %8.2f MiB%s\n", M.Name.c_str(),
             M.Seconds, mib(M.LiveBytesAfter),
@@ -178,29 +174,24 @@ std::string scmo::renderStatsJson(const BuildResult &Build) {
           (unsigned long long)Build.HloPeakBytes);
   appendf(Out, "\"total_peak_bytes\":%llu,",
           (unsigned long long)Build.TotalPeakBytes);
-  // Documented key order: compactions, offloads, cache_hits, shards,
-  // contentions, lock_wait_nanos. Consumers (CI, bench harnesses) parse
+  // Documented key order: compactions, offloads, cache_hits, contentions,
+  // lock_wait_nanos. Consumers (CI, bench harnesses) parse
   // positionally as well as by name; append new keys at the end only.
   appendf(Out,
           "\"loader\":{\"compactions\":%llu,\"offloads\":%llu,"
-          "\"cache_hits\":%llu,\"shards\":%llu,\"contentions\":%llu,"
+          "\"cache_hits\":%llu,\"contentions\":%llu,"
           "\"lock_wait_nanos\":%llu},",
           (unsigned long long)Build.Loader.Compactions,
           (unsigned long long)Build.Loader.Offloads,
           (unsigned long long)Build.Loader.CacheHits,
-          (unsigned long long)Build.Loader.Shards,
           (unsigned long long)Build.Loader.Contentions,
           (unsigned long long)Build.Loader.LockWaitNanos);
   appendf(Out,
           "\"naim_io\":{\"elided_stores\":%llu,\"queue_hits\":%llu,"
-          "\"prefetch_hits\":%llu,\"prefetch_wasted\":%llu,"
-          "\"stored_bytes\":%llu,\"raw_bytes\":%llu},",
+          "\"stored_bytes\":%llu},",
           (unsigned long long)Build.Loader.SpillElisions,
           (unsigned long long)Build.Loader.SpillQueueHits,
-          (unsigned long long)Build.Loader.PrefetchHits,
-          (unsigned long long)Build.Loader.PrefetchWasted,
-          (unsigned long long)Build.Loader.CompressedBytes,
-          (unsigned long long)Build.Loader.RawBytes);
+          (unsigned long long)Build.Loader.CompressedBytes);
   Out += "\"stages\":[";
   for (size_t I = 0; I != Build.Stages.size(); ++I) {
     const StageMetrics &M = Build.Stages[I];

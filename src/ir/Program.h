@@ -97,7 +97,10 @@ struct RoutineSlot {
   TrackedBuffer CompactBytes;          ///< Valid when State == Compact.
   uint64_t RepoOffset = 0;             ///< Valid when State == Offloaded.
   uint64_t RepoSize = 0;
-  uint64_t LruTick = 0;                ///< Last-touch tick for the loader LRU.
+  /// Neighbours in the loader's LRU list of unpinned expanded pools
+  /// (InvalidId at either end, and while the pool is not in the list).
+  RoutineId LruPrev = InvalidId;
+  RoutineId LruNext = InvalidId;
   /// Outstanding acquire() count. Under the parallel backend several phases'
   /// workers may not share pools, but balanced acquire/release pairs from
   /// one worker must not be undone by a stray release elsewhere: a pool only
@@ -108,13 +111,9 @@ struct RoutineSlot {
   bool UnloadPending = false;          ///< In the loader cache, evictable.
 
   /// A loader worker is encoding/decoding this pool outside the loader
-  /// mutex; every other path must wait (acquire) or skip (eviction,
-  /// prefetch) the slot until the transition lands.
+  /// mutex; every other path must wait (acquire) or skip (eviction) the
+  /// slot until the transition lands.
   bool InTransition = false;
-  /// The resident body was installed by readahead and has not yet been
-  /// acquired; resolves to a PrefetchHit (on acquire) or a PrefetchWasted
-  /// (on eviction).
-  bool WasPrefetched = false;
   /// Nonzero while a write-behind spill for this pool is still in the
   /// loader's queue or in the writer's hands: the payload can be served
   /// from the queue, and RepoOffset/RepoSize are not yet valid.
@@ -125,12 +124,11 @@ struct RoutineSlot {
   uint64_t CompactHash = 0;
   /// The most recent repository record holding this pool, surviving across
   /// re-expansion (RepoOffset/RepoSize are reset on fetch). LastRepoSize ==
-  /// 0 means no record. LastRawHash/LastRawSize describe the record's
-  /// *decompressed* compact bytes, for content-addressed store elision.
+  /// 0 means no record. LastRepoHash is the record's content hash, for
+  /// content-addressed store elision.
   uint64_t LastRepoOffset = 0;
   uint64_t LastRepoSize = 0;
-  uint64_t LastRawHash = 0;
-  uint64_t LastRawSize = 0;
+  uint64_t LastRepoHash = 0;
   /// True while the expanded body is provably bit-equal to what
   /// decode(record at LastRepoOffset / queued spill) produces: set when a
   /// body is expanded from its record, cleared by any mutable acquire.

@@ -8,27 +8,17 @@
 #include "naim/Loader.h"
 
 #include "bytecode/Compact.h"
-#include "support/Compress.h"
 #include "support/Debug.h"
 #include "support/Hash.h"
 
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <iterator>
-#include <set>
-#include <thread>
 
 using namespace scmo;
 
 namespace {
 constexpr std::memory_order Relaxed = std::memory_order_relaxed;
-
-/// Spill envelope kinds (the first byte of every stored record).
-constexpr uint8_t EnvelopeRaw = 0;
-constexpr uint8_t EnvelopeLz = 1;
 
 /// One pass over a resident body collecting the facts routineSummary()
 /// serves. Must mirror exactly what the consumers used to read off the body
@@ -72,1110 +62,49 @@ std::unique_ptr<RoutineIlSummary> summarizeBody(const RoutineBody &Body) {
       Sum->StoredGlobals.end());
   return Sum;
 }
-
-/// Shard S of a multi-shard session stores to "<base>.<S>.naim"; one shard
-/// keeps the exact configured path (the pre-shard contract), and an empty
-/// base stays empty (anonymous per-shard temp files).
-std::string shardRepoPath(const std::string &Base, unsigned NumShards,
-                          unsigned Idx) {
-  if (Base.empty() || NumShards == 1)
-    return Base;
-  return Base + "." + std::to_string(Idx) + ".naim";
-}
 } // namespace
-
-namespace scmo {
-
-//===----------------------------------------------------------------------===//
-// LoaderShard
-//===----------------------------------------------------------------------===//
-
-/// One shard of the loader: the complete pre-shard loader state machine —
-/// mutex, LRU cache, spill queue, prefetch window, repository file — scoped
-/// to the subset of routines whose id hashes here (Loader::shardOf). Shards
-/// never touch each other's slots or locks; everything cross-shard (the
-/// budget, victim compaction, symtabs) lives on the facade.
-class LoaderShard {
-public:
-  LoaderShard(Loader &F, unsigned Idx)
-      : F(F), P(F.P), Config(F.Config), Idx(Idx),
-        Repo(shardRepoPath(Config.RepositoryPath, F.NumShards, Idx), F.Faults,
-             Idx) {}
-
-  ~LoaderShard() {
-    {
-      std::lock_guard<std::mutex> Q(QM);
-      StopIo = true;
-      // Queued spills still get stored (the writer drains before exiting);
-      // readahead is pointless now and is simply dropped.
-      PrefetchQ.clear();
-      QWorkCv.notify_all();
-    }
-    if (IoThread.joinable())
-      IoThread.join();
-    // The lease's unspent reservation flows back so a facade-level
-    // enforceBudget between shard teardowns keeps exact accounts.
-    std::lock_guard<std::mutex> L(M);
-    F.Arbiter.creditGlobal(Lease, Lease.Charged);
-    F.Arbiter.drain(Lease);
-  }
-
-  RoutineBody &acquireImpl(RoutineId R, bool Mutable);
-  void release(RoutineId R);
-  bool releaseAllShard();
-  bool enforceBudgetShard(bool Everything);
-  const RoutineIlSummary *routineSummary(RoutineId R);
-  void drainSpills();
-  void drainPrefetches();
-  void setSchedule(std::vector<RoutineId> Order);
-  void clearSchedule();
-
-  // Facade pressure-relief hooks (no shard lock held by the caller).
-  bool trySettle();
-  bool compactOneVictim();
-
-  uint64_t cacheBytes() const { return CachedBytes.load(Relaxed); }
-  size_t cachedPoolCount() const {
-    std::lock_guard<std::mutex> L(M);
-    return CacheOrder.size();
-  }
-  bool degraded() const { return SpillDisabled.load(Relaxed); }
-  Status firstError() const {
-    std::lock_guard<std::mutex> L(M);
-    return FirstErr;
-  }
-  std::vector<LoaderEvent> takeEvents() {
-    std::lock_guard<std::mutex> L(M);
-    return std::move(Events);
-  }
-  void setRecoveryHandler(Loader::RecoverFn Fn) {
-    std::lock_guard<std::mutex> L(M);
-    Recover = std::move(Fn);
-  }
-  Repository &repository() { return Repo; }
-  LoaderStats snapshot() const;
-
-private:
-  /// Counter block. Relaxed atomics: the counters are statistics, not
-  /// synchronization, and the workers must not serialize on them.
-  struct AtomicStats {
-    std::atomic<uint64_t> Acquires{0};
-    std::atomic<uint64_t> CacheHits{0};
-    std::atomic<uint64_t> Expansions{0};
-    std::atomic<uint64_t> Compactions{0};
-    std::atomic<uint64_t> Offloads{0};
-    std::atomic<uint64_t> Fetches{0};
-    std::atomic<uint64_t> SpillElisions{0};
-    std::atomic<uint64_t> SpillQueueHits{0};
-    std::atomic<uint64_t> PrefetchHits{0};
-    std::atomic<uint64_t> PrefetchWasted{0};
-    std::atomic<uint64_t> LockWaitNanos{0};
-    std::atomic<uint64_t> Contentions{0};
-    std::atomic<uint64_t> SpillFailures{0};
-    std::atomic<uint64_t> FetchRetries{0};
-    std::atomic<uint64_t> Recoveries{0};
-    std::atomic<uint64_t> PoisonedPools{0};
-  };
-
-  struct SpillEntry {
-    RoutineId R = InvalidId;
-    uint64_t Ticket = 0;
-    std::vector<uint8_t> Raw;
-    uint64_t RawHash = 0;
-  };
-
-  /// Locks M, sampling contention: a failed try_lock counts once and the
-  /// blocked wait is timed. The LockWaitNanos/Contentions pair is the
-  /// measurable axis of the sharding win (ISSUE 10), so it is sampled on
-  /// the hot paths (acquire/release) only — slow paths would just add
-  /// noise.
-  std::unique_lock<std::mutex> lockM() {
-    std::unique_lock<std::mutex> L(M, std::try_to_lock);
-    if (!L.owns_lock()) {
-      Stats.Contentions.fetch_add(1, Relaxed);
-      auto T0 = std::chrono::steady_clock::now();
-      L.lock();
-      Stats.LockWaitNanos.fetch_add(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - T0)
-              .count(),
-          Relaxed);
-    }
-    return L;
-  }
-
-  /// Reconciles the lease with the shard's resident bytes: surplus charge
-  /// is credited back, shortfall is charged (possibly refilling the lease
-  /// from the global balance). Returns false when the global balance cannot
-  /// cover the shortfall — the budget is exhausted and someone must evict.
-  bool settleLocked();
-
-  /// Returns true when the shard needs the facade to relieve global
-  /// pressure (only possible with multiple shards; the caller must drop M
-  /// before calling Loader::relievePressure).
-  bool enforceBudgetLocked(std::unique_lock<std::mutex> &L, bool Everything);
-  void evictOneLocked(std::unique_lock<std::mutex> &L);
-  void offloadOverBudgetLocked(std::unique_lock<std::mutex> &L);
-
-  void compactPool(RoutineId R, std::unique_lock<std::mutex> &L);
-  void offloadPool(RoutineId R, std::unique_lock<std::mutex> &L);
-  void storeSyncLocked(RoutineId R, std::vector<uint8_t> Raw,
-                       uint64_t RawHash);
-  void degradeSpillsLocked(RoutineId R, const Status &Cause);
-  Status expandPool(RoutineId R, std::unique_lock<std::mutex> &L);
-  Status fetchRecord(uint64_t Offset, uint64_t Size, std::vector<uint8_t> &Raw,
-                     std::string &RetryDetail);
-  Status recoverPoolLocked(RoutineId R, Status Cause);
-  void installBodyLocked(RoutineId R, std::unique_ptr<RoutineBody> Body);
-  void poisonPoolLocked(RoutineId R, Status Cause);
-  std::vector<uint8_t> buildEnvelope(const std::vector<uint8_t> &Raw);
-
-  void ensureIoThreadLocked();
-  void ioThreadMain();
-  void prefetchOne(RoutineId R);
-
-  Loader &F;
-  Program &P;
-  const NaimConfig &Config;
-  const unsigned Idx;
-  Repository Repo;
-
-  AtomicStats Stats;
-
-  /// Guards this shard's pool metadata, cache and fault state. Lock order:
-  /// M -> QM. Never held together with another shard's M.
-  mutable std::mutex M;
-  std::condition_variable TransitionCv;
-
-  /// Unpinned expanded pools ordered by last use: (LruTick, id). The id
-  /// tie-break is unreachable (ticks are unique) but keeps the comparator
-  /// total.
-  std::set<std::pair<uint64_t, RoutineId>> CacheOrder;
-  /// Sum of irBytes over CacheOrder. Atomic so the facade's victim
-  /// selection can read it without taking M; mutations stay under M.
-  std::atomic<uint64_t> CachedBytes{0};
-  uint64_t Tick = 0;
-  /// This shard's slice of the global budget (guarded by M; see
-  /// BudgetArbiter::Lease).
-  BudgetArbiter::Lease Lease;
-
-  std::atomic<bool> SpillDisabled{false};
-  std::vector<LoaderEvent> Events;
-  Status FirstErr;
-  Loader::RecoverFn Recover;
-
-  /// Guards the spill/prefetch queues and schedule (lock order M -> QM).
-  std::mutex QM;
-  std::condition_variable QWorkCv; ///< Work arrived (I/O thread waits).
-  std::condition_variable QIdleCv; ///< Queue drained (drain* waits).
-  std::deque<std::shared_ptr<SpillEntry>> SpillQ;
-  std::deque<RoutineId> PrefetchQ;
-  /// This shard's slice of the acquisition schedule (relative order
-  /// preserved). Immutable while ScheduleActive.
-  std::vector<RoutineId> Schedule;
-  std::atomic<bool> ScheduleActive{false};
-  std::atomic<size_t> SchedPos{0};
-  bool SpillBusy = false;
-  bool PrefetchBusy = false;
-  bool StopIo = false;
-  uint64_t NextTicket = 0;
-  std::thread IoThread;
-};
-
-} // namespace scmo
-
-//===----------------------------------------------------------------------===//
-// Shard: acquire / release / budget
-//===----------------------------------------------------------------------===//
-
-RoutineBody &LoaderShard::acquireImpl(RoutineId R, bool Mutable) {
-  Stats.Acquires.fetch_add(1, Relaxed);
-  std::unique_lock<std::mutex> L = lockM();
-  RoutineInfo &RI = P.routine(R);
-  RoutineSlot &S = RI.Slot;
-  assert(RI.IsDefined && "acquiring an undefined routine");
-  // A transition (decode/encode outside the mutex) owns the slot; wait for
-  // it to land rather than observing a half-moved state.
-  while (S.InTransition)
-    TransitionCv.wait(L);
-  switch (S.State) {
-  case PoolState::Expanded:
-    if (S.UnloadPending) {
-      // Cache hit: just flip the state back; no loading work at all — the
-      // payoff of the lazy unloader (paper Section 4.3).
-      Stats.CacheHits.fetch_add(1, Relaxed);
-      if (S.WasPrefetched) {
-        Stats.PrefetchHits.fetch_add(1, Relaxed);
-        S.WasPrefetched = false;
-      }
-      CacheOrder.erase({S.LruTick, R});
-      CachedBytes.fetch_sub(S.Body->irBytes(), Relaxed);
-      S.UnloadPending = false;
-    }
-    break;
-  case PoolState::Compact:
-  case PoolState::Offloaded: {
-    Status St = expandPool(R, L);
-    // An unrecoverable pool is poisoned, never fatal: the caller gets a
-    // stub body so in-flight phases complete safely, and the driver fails
-    // the build with the latched error at its next checkpoint.
-    if (!St.ok())
-      poisonPoolLocked(R, std::move(St));
-    break;
-  }
-  case PoolState::None:
-    scmo_unreachable("defined routine with no pool");
-  }
-  if (Mutable) {
-    S.CleanSinceRepo = false;
-    // The body may change under this pin: the cached summary is stale. The
-    // matching release recomputes it while the body is still resident.
-    if (S.Summary) {
-      S.Summary.reset();
-      S.ResummarizeOnRelease = true;
-    }
-  }
-  ++S.Pins;
-  S.LruTick = ++Tick;
-  RoutineBody &Body = *S.Body;
-
-  // Slide the readahead window: this shard's acquire #N uncovers position
-  // N + PrefetchDepth of its schedule slice. The Schedule vector is
-  // immutable while active, so reading it outside QM is safe.
-  if (Config.PrefetchDepth &&
-      ScheduleActive.load(std::memory_order_acquire)) {
-    size_t SIdx = SchedPos.fetch_add(1, Relaxed) + Config.PrefetchDepth;
-    if (SIdx < Schedule.size()) {
-      std::lock_guard<std::mutex> Q(QM);
-      if (ScheduleActive.load(Relaxed)) {
-        PrefetchQ.push_back(Schedule[SIdx]);
-        QWorkCv.notify_one();
-      }
-    }
-  }
-  return Body;
-}
-
-void LoaderShard::release(RoutineId R) {
-  bool NeedsRelief = false;
-  {
-    std::unique_lock<std::mutex> L = lockM();
-    RoutineInfo &RI = P.routine(R);
-    RoutineSlot &S = RI.Slot;
-    if (S.State != PoolState::Expanded || S.UnloadPending || S.InTransition)
-      return;
-    // Drop one pin; the pool stays resident while any worker still holds
-    // it. (Pins == 0 here means a "born pinned" body the frontend installed
-    // and nobody ever acquired: its first release unpins it.)
-    if (S.Pins > 0 && --S.Pins > 0)
-      return;
-    // Summarize while the body is still resident (a scan, not a decode): a
-    // mutable pin-cycle just ended and discarded the summary, or — when
-    // pools can park at all — this body has never been summarized and the
-    // next whole-set consumer would otherwise have to re-expand it.
-    if (S.ResummarizeOnRelease || (!S.Summary && F.irCompactionEnabled())) {
-      S.Summary = summarizeBody(*S.Body);
-      S.ResummarizeOnRelease = false;
-    }
-    // Mark unload-pending and place in the cache; actual compaction happens
-    // only if the budget demands it.
-    S.UnloadPending = true;
-    S.LruTick = ++Tick;
-    CacheOrder.insert({S.LruTick, R});
-    CachedBytes.fetch_add(S.Body->irBytes(), Relaxed);
-    NeedsRelief = enforceBudgetLocked(L, /*Everything=*/false);
-  }
-  if (NeedsRelief)
-    F.relievePressure();
-}
-
-bool LoaderShard::releaseAllShard() {
-  std::unique_lock<std::mutex> L(M);
-  for (RoutineId R = 0; R != P.numRoutines(); ++R) {
-    if (F.shardOf(R) != Idx)
-      continue;
-    RoutineSlot &S = P.routine(R).Slot;
-    if (S.State == PoolState::Expanded && !S.UnloadPending &&
-        !S.InTransition) {
-      // Phase boundary: forcibly forget any outstanding pins — no worker
-      // may hold a body across a phase.
-      S.Pins = 0;
-      if (S.ResummarizeOnRelease || (!S.Summary && F.irCompactionEnabled())) {
-        S.Summary = summarizeBody(*S.Body);
-        S.ResummarizeOnRelease = false;
-      }
-      S.UnloadPending = true;
-      S.LruTick = ++Tick;
-      CacheOrder.insert({S.LruTick, R});
-      CachedBytes.fetch_add(S.Body->irBytes(), Relaxed);
-    }
-  }
-  return enforceBudgetLocked(L, /*Everything=*/false);
-}
-
-bool LoaderShard::enforceBudgetShard(bool Everything) {
-  std::unique_lock<std::mutex> L(M);
-  return enforceBudgetLocked(L, Everything);
-}
-
-const RoutineIlSummary *LoaderShard::routineSummary(RoutineId R) {
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    const RoutineSlot &S = P.routine(R).Slot;
-    if (S.Summary)
-      return S.Summary.get();
-  }
-  if (!P.routine(R).IsDefined)
-    return nullptr;
-  const RoutineBody &Body = acquireImpl(R, /*Mutable=*/false);
-  auto Sum = summarizeBody(Body);
-  const RoutineIlSummary *Raw;
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    RoutineSlot &S = P.routine(R).Slot;
-    S.Summary = std::move(Sum);
-    Raw = S.Summary.get();
-  }
-  release(R);
-  return Raw;
-}
-
-bool LoaderShard::settleLocked() {
-  uint64_t Resident = CachedBytes.load(Relaxed);
-  if (Lease.Charged > Resident) {
-    F.Arbiter.credit(Lease, Lease.Charged - Resident);
-    return true;
-  }
-  if (Lease.Charged < Resident)
-    return F.Arbiter.charge(Lease, Resident - Lease.Charged);
-  return true;
-}
-
-bool LoaderShard::enforceBudgetLocked(std::unique_lock<std::mutex> &L,
-                                      bool Everything) {
-  bool NeedsRelief = false;
-  if (!F.irCompactionEnabled())
-    return false;
-  if (Everything)
-    while (!CacheOrder.empty())
-      evictOneLocked(L);
-  // Reconcile resident bytes against the global budget; while the arbiter
-  // cannot cover them, evict least-recently-used pools. Only unpinned pools
-  // live in CacheOrder, so a pool another worker holds can never be chosen.
-  // compactPool drops the mutex around the encode; the loop re-reads the
-  // cache state afterwards, so concurrent releases/evictions interleave
-  // correctly. With one shard the charge succeeds exactly while
-  // CachedBytes <= ExpandedCacheBytes — the pre-shard eviction condition.
-  for (;;) {
-    if (settleLocked())
-      break;
-    if (CacheOrder.empty())
-      break; // Nothing evictable; stay over until pools release.
-    if (F.NumShards > 1) {
-      // Global pressure with multiple shards: do not blindly self-evict —
-      // the facade picks the shard with the most resident bytes as the
-      // victim (which may well be this one).
-      NeedsRelief = true;
-      break;
-    }
-    evictOneLocked(L);
-  }
-  offloadOverBudgetLocked(L);
-  return NeedsRelief;
-}
-
-void LoaderShard::evictOneLocked(std::unique_lock<std::mutex> &L) {
-  RoutineId Victim = CacheOrder.begin()->second;
-  RoutineSlot &S = P.routine(Victim).Slot;
-  CacheOrder.erase(CacheOrder.begin());
-  CachedBytes.fetch_sub(S.Body->irBytes(), Relaxed);
-  if (S.WasPrefetched) {
-    Stats.PrefetchWasted.fetch_add(1, Relaxed);
-    S.WasPrefetched = false;
-  }
-  // Clean fast path: a pool that was never mutably acquired since it was
-  // expanded from its repository record (or from its still-queued spill)
-  // drops straight back to that record — no re-encode, no store, no
-  // compact residency. Content-equal by history, so deterministic.
-  if (S.CleanSinceRepo && F.offloadEnabled() && !SpillDisabled.load(Relaxed) &&
-      (S.SpillTicket != 0 || S.LastRepoSize != 0)) {
-    S.Body.reset();
-    S.UnloadPending = false;
-    S.State = PoolState::Offloaded;
-    // A pending write-behind entry means the record's offset arrives at
-    // writer finalize; until then fetches are served from the queue.
-    S.RepoOffset = S.SpillTicket ? 0 : S.LastRepoOffset;
-    S.RepoSize = S.SpillTicket ? 0 : S.LastRepoSize;
-    Stats.Compactions.fetch_add(1, Relaxed);
-    Stats.Offloads.fetch_add(1, Relaxed);
-    Stats.SpillElisions.fetch_add(1, Relaxed);
-    return;
-  }
-  compactPool(Victim, L);
-}
-
-void LoaderShard::offloadOverBudgetLocked(std::unique_lock<std::mutex> &L) {
-  // Second stage: offload compact pools beyond the compact-residency
-  // budget. A degraded shard (earlier spill failure) keeps everything
-  // resident: the budget is lifted rather than enforced against a dead
-  // disk — and only for this shard; the others keep offloading to their own
-  // healthy files.
-  if (!F.offloadEnabled() || SpillDisabled.load(Relaxed) || !P.tracker())
-    return;
-  if (P.tracker()->liveBytes(MemCategory::HloCompact) <=
-      Config.CompactResidentBytes)
-    return;
-  // Offload in deterministic id order; compact pools carry no LRU order
-  // (their last-touch ordering died at compaction), and id order keeps the
-  // pass reproducible.
-  for (RoutineId R = 0; R != P.numRoutines(); ++R) {
-    if (SpillDisabled.load(Relaxed) ||
-        P.tracker()->liveBytes(MemCategory::HloCompact) <=
-            Config.CompactResidentBytes)
-      break;
-    if (F.shardOf(R) != Idx)
-      continue;
-    RoutineSlot &S = P.routine(R).Slot;
-    if (S.State == PoolState::Compact && !S.InTransition)
-      offloadPool(R, L);
-  }
-}
-
-bool LoaderShard::trySettle() {
-  std::unique_lock<std::mutex> L(M);
-  return settleLocked();
-}
-
-bool LoaderShard::compactOneVictim() {
-  std::unique_lock<std::mutex> L(M);
-  if (!F.irCompactionEnabled() || CacheOrder.empty())
-    return false;
-  evictOneLocked(L);
-  // Free the charge for the *other* shards: the surplus goes straight to
-  // the global balance, not back into this shard's lease — the whole point
-  // of victim compaction is that a different shard needs the budget now.
-  uint64_t Resident = CachedBytes.load(Relaxed);
-  if (Lease.Charged > Resident)
-    F.Arbiter.creditGlobal(Lease, Lease.Charged - Resident);
-  // The victim is compact now; push it on through the offload stage if the
-  // compact-residency budget calls for it, exactly as a self-triggered
-  // eviction would have (enforceBudgetLocked runs this unconditionally).
-  offloadOverBudgetLocked(L);
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
-// Shard: compaction / offload / expansion / fault ladder
-//===----------------------------------------------------------------------===//
-
-void LoaderShard::compactPool(RoutineId R, std::unique_lock<std::mutex> &L) {
-  RoutineSlot &S = P.routine(R).Slot;
-  assert(S.State == PoolState::Expanded && S.UnloadPending &&
-         "compacting a pinned pool");
-  assert(!S.InTransition && "compacting a transitioning pool");
-  // The caller already removed the pool from the cache. Detach the body and
-  // encode outside the mutex: the swizzle is CPU work other workers need
-  // not serialize on.
-  std::unique_ptr<RoutineBody> Body = std::move(S.Body);
-  S.UnloadPending = false;
-  S.InTransition = true;
-  L.unlock();
-  std::vector<uint8_t> Bytes = compactRoutine(*Body);
-  Body.reset();
-  uint64_t Hash = hashBytes(Bytes.data(), Bytes.size());
-  L.lock();
-  S.InTransition = false;
-  TransitionCv.notify_all();
-  S.CompactBytes = TrackedBuffer(P.tracker(), MemCategory::HloCompact);
-  S.CompactBytes.assign(std::move(Bytes));
-  S.CompactHash = Hash;
-  S.State = PoolState::Compact;
-  Stats.Compactions.fetch_add(1, Relaxed);
-}
-
-std::vector<uint8_t>
-LoaderShard::buildEnvelope(const std::vector<uint8_t> &Raw) {
-  std::vector<uint8_t> Env;
-  if (Config.Compress == NaimCompress::Fast) {
-    std::vector<uint8_t> Z = lzCompress(Raw);
-    // Incompressible records stay raw: the envelope kind is per-record, so
-    // the flag never makes a record bigger than `off` would.
-    if (Z.size() < Raw.size()) {
-      Env.reserve(Z.size() + 1);
-      Env.push_back(EnvelopeLz);
-      Env.insert(Env.end(), Z.begin(), Z.end());
-      return Env;
-    }
-  }
-  Env.reserve(Raw.size() + 1);
-  Env.push_back(EnvelopeRaw);
-  Env.insert(Env.end(), Raw.begin(), Raw.end());
-  return Env;
-}
-
-void LoaderShard::offloadPool(RoutineId R, std::unique_lock<std::mutex> &L) {
-  RoutineSlot &S = P.routine(R).Slot;
-  assert(S.State == PoolState::Compact && "offloading a non-compact pool");
-  // Content-addressed store elision: if these exact compact bytes already
-  // live in the repository (the pool round-tripped without changing), reuse
-  // the record instead of storing a duplicate.
-  if (S.LastRepoSize != 0 && S.CompactHash == S.LastRawHash &&
-      S.CompactBytes.size() == S.LastRawSize) {
-    S.CompactBytes.clear();
-    S.State = PoolState::Offloaded;
-    S.RepoOffset = S.LastRepoOffset;
-    S.RepoSize = S.LastRepoSize;
-    Stats.Offloads.fetch_add(1, Relaxed);
-    Stats.SpillElisions.fetch_add(1, Relaxed);
-    return;
-  }
-  std::vector<uint8_t> Raw = S.CompactBytes.take();
-  uint64_t Hash = S.CompactHash;
-  if (Config.SpillQueueDepth != 0) {
-    std::lock_guard<std::mutex> Q(QM);
-    if (SpillQ.size() < Config.SpillQueueDepth) {
-      // Write-behind: park the bytes on the queue and move on; the writer
-      // builds the envelope and stores without holding M. The pool is
-      // Offloaded-pending (ticket set, RepoSize 0) until finalize.
-      ensureIoThreadLocked();
-      auto E = std::make_shared<SpillEntry>();
-      E->R = R;
-      E->Ticket = ++NextTicket;
-      E->Raw = std::move(Raw);
-      E->RawHash = Hash;
-      S.SpillTicket = E->Ticket;
-      S.State = PoolState::Offloaded;
-      S.RepoOffset = 0;
-      S.RepoSize = 0;
-      SpillQ.push_back(std::move(E));
-      Stats.Offloads.fetch_add(1, Relaxed);
-      QWorkCv.notify_all();
-      return;
-    }
-  }
-  // Queue full (backpressure) or write-behind disabled: store synchronously.
-  storeSyncLocked(R, std::move(Raw), Hash);
-}
-
-void LoaderShard::storeSyncLocked(RoutineId R, std::vector<uint8_t> Raw,
-                                  uint64_t RawHash) {
-  RoutineSlot &S = P.routine(R).Slot;
-  // This store supersedes any still-queued older record for the pool: the
-  // ticket must die here, or a later fetch would see it and serve the stale
-  // queue entry instead of the record stored below.
-  S.SpillTicket = 0;
-  std::vector<uint8_t> Env = buildEnvelope(Raw);
-  Expected<uint64_t> Off = Repo.store(Env, Raw.size());
-  if (!Off.ok()) {
-    degradeSpillsLocked(R, Off.status());
-    // Degradation instead of death: the pool keeps its compact bytes, this
-    // shard stops spilling for good, and the compact-residency budget is
-    // lifted (offloadOverBudgetLocked checks SpillDisabled). A slower,
-    // fatter compile — not a dead one.
-    S.CompactBytes = TrackedBuffer(P.tracker(), MemCategory::HloCompact);
-    S.CompactBytes.assign(std::move(Raw));
-    S.CompactHash = RawHash;
-    S.State = PoolState::Compact;
-    return;
-  }
-  S.State = PoolState::Offloaded;
-  S.RepoOffset = *Off;
-  S.RepoSize = Env.size();
-  S.LastRepoOffset = *Off;
-  S.LastRepoSize = Env.size();
-  S.LastRawHash = RawHash;
-  S.LastRawSize = Raw.size();
-  Stats.Offloads.fetch_add(1, Relaxed);
-}
-
-void LoaderShard::degradeSpillsLocked(RoutineId R, const Status &Cause) {
-  if (!SpillDisabled.load(Relaxed)) {
-    SpillDisabled.store(true, Relaxed);
-    Stats.SpillFailures.fetch_add(1, Relaxed);
-    std::string Detail = "repository spill failed (" + Cause.toString() +
-                         "); offloading disabled, pools stay memory-resident";
-    if (F.NumShards > 1)
-      Detail += " (shard " + std::to_string(Idx) + " of " +
-                std::to_string(F.NumShards) + ")";
-    Events.push_back({LoaderEvent::Kind::SpillDegraded, R, std::move(Detail)});
-  }
-  // Restore every queued (not in-flight) spill to compact residency: their
-  // stores would fail against the same dead disk. The in-flight front entry
-  // stays — the writer owns it and applies its own outcome.
-  std::lock_guard<std::mutex> Q(QM);
-  while (SpillQ.size() > (SpillBusy ? 1u : 0u)) {
-    std::shared_ptr<SpillEntry> E = std::move(SpillQ.back());
-    SpillQ.pop_back();
-    Stats.Offloads.fetch_sub(1, Relaxed);
-    RoutineSlot &S = P.routine(E->R).Slot;
-    if (S.SpillTicket == E->Ticket) {
-      S.SpillTicket = 0;
-      if (S.State == PoolState::Offloaded && S.RepoSize == 0) {
-        S.CompactBytes = TrackedBuffer(P.tracker(), MemCategory::HloCompact);
-        S.CompactBytes.assign(std::move(E->Raw));
-        S.CompactHash = E->RawHash;
-        S.State = PoolState::Compact;
-      }
-    }
-  }
-  QIdleCv.notify_all();
-}
-
-Status LoaderShard::fetchRecord(uint64_t Offset, uint64_t Size,
-                                std::vector<uint8_t> &Raw,
-                                std::string &RetryDetail) {
-  auto ReadOnce = [&](std::vector<uint8_t> &Out) -> Status {
-    std::vector<uint8_t> Env;
-    Status FS = Repo.fetch(Offset, Size, Env);
-    if (!FS.ok())
-      return FS;
-    if (Env.empty())
-      return Status::error(StatusCode::Corruption,
-                           "empty spill envelope at offset " +
-                               std::to_string(Offset));
-    if (Env[0] == EnvelopeRaw) {
-      Out.assign(Env.begin() + 1, Env.end());
-      return Status();
-    }
-    if (Env[0] == EnvelopeLz) {
-      if (!lzDecompress(Env.data() + 1, Env.size() - 1, Out,
-                        Repository::MaxRecordBytes))
-        return Status::error(StatusCode::Corruption,
-                             "corrupt compressed spill payload at offset " +
-                                 std::to_string(Offset));
-      return Status();
-    }
-    return Status::error(StatusCode::Corruption,
-                         "unknown spill envelope kind at offset " +
-                             std::to_string(Offset));
-  };
-  Status FS = ReadOnce(Raw);
-  if (!FS.ok() && FS.code() == StatusCode::Corruption) {
-    // One immediate re-read: corruption introduced between the platter and
-    // us (a flipped buffer, a racing cache) heals; bit-rot that made it to
-    // disk does not, and falls through to object-file recovery. A corrupt
-    // compressed payload rides the same rung.
-    RetryDetail = FS.message();
-    FS = ReadOnce(Raw);
-  }
-  return FS;
-}
-
-Status LoaderShard::expandPool(RoutineId R, std::unique_lock<std::mutex> &L) {
-  RoutineSlot &S = P.routine(R).Slot;
-  assert(!S.InTransition && "expanding a transitioning pool");
-  std::vector<uint8_t> Raw;
-  bool FromRepo = false;
-  bool FromQueue = false;
-  uint64_t Off = 0, Sz = 0;
-  uint64_t QueueRawHash = 0;
-  if (S.State == PoolState::Offloaded) {
-    if (S.SpillTicket != 0) {
-      // The record is still in the write-behind queue (or in the writer's
-      // hands — it stays in the deque until finalized, and finalize needs
-      // M, which we hold). Serve the payload straight from the entry; the
-      // store itself proceeds untouched.
-      std::lock_guard<std::mutex> Q(QM);
-      for (const auto &E : SpillQ) {
-        if (E->Ticket == S.SpillTicket) {
-          Raw = E->Raw;
-          QueueRawHash = E->RawHash;
-          FromQueue = true;
-          break;
-        }
-      }
-      assert(FromQueue && "pending spill ticket without a queue entry");
-      if (FromQueue) {
-        Stats.SpillQueueHits.fetch_add(1, Relaxed);
-        Stats.Fetches.fetch_add(1, Relaxed);
-      }
-    }
-    if (!FromQueue) {
-      FromRepo = true;
-      Off = S.RepoOffset;
-      Sz = S.RepoSize;
-    }
-  } else {
-    assert(S.State == PoolState::Compact && "expanding a non-compact pool");
-    Raw = S.CompactBytes.take();
-  }
-  // Fetch and decode outside the mutex; the transition flag owns the slot.
-  S.InTransition = true;
-  L.unlock();
-  Status Err;
-  std::string RetryDetail;
-  if (FromRepo)
-    Err = fetchRecord(Off, Sz, Raw, RetryDetail);
-  std::unique_ptr<RoutineBody> Body;
-  uint64_t RawHash = QueueRawHash;
-  uint64_t RawSize = 0;
-  if (Err.ok()) {
-    RawSize = Raw.size();
-    if (FromRepo)
-      RawHash = hashBytes(Raw.data(), Raw.size());
-    // Uncompaction: decode and eagerly swizzle PIDs back to in-memory form.
-    Body = expandRoutine(Raw, P.tracker());
-  }
-  L.lock();
-  S.InTransition = false;
-  TransitionCv.notify_all();
-  if (!RetryDetail.empty()) {
-    Stats.FetchRetries.fetch_add(1, Relaxed);
-    Events.push_back({LoaderEvent::Kind::FetchRetried, R, RetryDetail});
-  }
-  if (!Err.ok())
-    return recoverPoolLocked(R, std::move(Err));
-  if (FromRepo)
-    Stats.Fetches.fetch_add(1, Relaxed);
-  if (!Body)
-    return recoverPoolLocked(
-        R, Status::error(StatusCode::Corruption,
-                         "corrupt compact pool for " + P.displayName(R)));
-  installBodyLocked(R, std::move(Body));
-  if (FromRepo) {
-    // Remember the record: if the body round-trips unmutated, eviction can
-    // reuse it (clean fast path / store elision).
-    S.LastRepoOffset = Off;
-    S.LastRepoSize = Sz;
-    S.LastRawHash = RawHash;
-    S.LastRawSize = RawSize;
-    S.CleanSinceRepo = true;
-  } else if (FromQueue) {
-    // The pending record holds exactly these bytes; the writer fills in
-    // LastRepoOffset/Size at finalize (ticket match).
-    S.CleanSinceRepo = true;
-  }
-  Stats.Expansions.fetch_add(1, Relaxed);
-  return Status();
-}
-
-Status LoaderShard::recoverPoolLocked(RoutineId R, Status Cause) {
-  if (Recover) {
-    if (std::unique_ptr<RoutineBody> Body = Recover(R)) {
-      installBodyLocked(R, std::move(Body));
-      // The object-file body is not what was summarized (the pool may have
-      // been optimized since); expand/prefetch installs, by contrast, decode
-      // the very bytes the summary described, so they keep it.
-      P.routine(R).Slot.Summary.reset();
-      P.routine(R).Slot.ResummarizeOnRelease = false;
-      Stats.Recoveries.fetch_add(1, Relaxed);
-      Events.push_back({LoaderEvent::Kind::Recovered, R,
-                        Cause.message() + "; re-expanded " + P.displayName(R) +
-                            " from its object file"});
-      return Status();
-    }
-  }
-  return Cause;
-}
-
-void LoaderShard::installBodyLocked(RoutineId R,
-                                    std::unique_ptr<RoutineBody> Body) {
-  RoutineSlot &S = P.routine(R).Slot;
-  S.Body = std::move(Body);
-  S.CompactBytes.clear();
-  S.State = PoolState::Expanded;
-  S.UnloadPending = false;
-  // The installed body's provenance decides cleanliness; expandPool re-sets
-  // the flag for record-sourced bodies. A recovered (object-file) body in
-  // particular must never reuse a record that just proved corrupt.
-  S.CleanSinceRepo = false;
-  S.LastRepoSize = 0;
-  S.LastRepoOffset = 0;
-  S.LastRawHash = 0;
-  S.LastRawSize = 0;
-}
-
-void LoaderShard::poisonPoolLocked(RoutineId R, Status Cause) {
-  Stats.PoisonedPools.fetch_add(1, Relaxed);
-  Events.push_back({LoaderEvent::Kind::PoolPoisoned, R, Cause.toString()});
-  if (FirstErr.ok())
-    FirstErr = std::move(Cause);
-  // Install a minimal valid stub (one Ret) so the acquiring phase can run
-  // to completion without dereferencing a dead pool; the latched FirstErr
-  // guarantees the driver discards the results.
-  const RoutineInfo &RI = P.routine(R);
-  auto Stub = std::make_unique<RoutineBody>(P.tracker());
-  Stub->NumParams = RI.NumParams;
-  Stub->NextReg = RI.NumParams + 1;
-  Stub->newBlock();
-  Instr *Ret = Stub->newInstr(Opcode::Ret);
-  Ret->A = Operand::imm(0);
-  Stub->Blocks[0].Instrs.push_back(Ret);
-  installBodyLocked(R, std::move(Stub));
-  P.routine(R).Slot.Summary.reset();
-  P.routine(R).Slot.ResummarizeOnRelease = false;
-}
-
-//===----------------------------------------------------------------------===//
-// Shard: write-behind / prefetch I/O thread
-//===----------------------------------------------------------------------===//
-
-void LoaderShard::ensureIoThreadLocked() {
-  if (!IoThread.joinable())
-    IoThread = std::thread([this] { ioThreadMain(); });
-}
-
-void LoaderShard::ioThreadMain() {
-  std::unique_lock<std::mutex> Q(QM);
-  for (;;) {
-    QWorkCv.wait(Q, [&] {
-      return StopIo || !SpillQ.empty() || !PrefetchQ.empty();
-    });
-    if (!SpillQ.empty()) {
-      // Claim the front entry but leave it in the deque: a racing fetch
-      // finds the payload there for as long as the slot's ticket stands.
-      std::shared_ptr<SpillEntry> E = SpillQ.front();
-      SpillBusy = true;
-      Q.unlock();
-      std::vector<uint8_t> Env = buildEnvelope(E->Raw);
-      Expected<uint64_t> Off = Repo.store(Env, E->Raw.size());
-      {
-        std::unique_lock<std::mutex> LM(M);
-        {
-          std::lock_guard<std::mutex> Q2(QM);
-          SpillQ.pop_front();
-          SpillBusy = false;
-        }
-        RoutineSlot &S = P.routine(E->R).Slot;
-        // A dirtied pool may have re-spilled under a newer ticket while we
-        // stored; then this record is simply dead space in the repository.
-        bool Mine = S.SpillTicket == E->Ticket;
-        if (!Off.ok()) {
-          // The offload was counted when it was decided; it did not happen.
-          Stats.Offloads.fetch_sub(1, Relaxed);
-          degradeSpillsLocked(E->R, Off.status());
-          if (Mine) {
-            S.SpillTicket = 0;
-            if (S.State == PoolState::Offloaded && S.RepoSize == 0) {
-              S.CompactBytes =
-                  TrackedBuffer(P.tracker(), MemCategory::HloCompact);
-              S.CompactBytes.assign(std::move(E->Raw));
-              S.CompactHash = E->RawHash;
-              S.State = PoolState::Compact;
-            }
-          }
-        } else if (Mine) {
-          S.SpillTicket = 0;
-          S.LastRepoOffset = *Off;
-          S.LastRepoSize = Env.size();
-          S.LastRawHash = E->RawHash;
-          S.LastRawSize = E->Raw.size();
-          if (S.State == PoolState::Offloaded && S.RepoSize == 0) {
-            S.RepoOffset = *Off;
-            S.RepoSize = Env.size();
-          }
-        }
-      }
-      QIdleCv.notify_all();
-      Q.lock();
-      continue;
-    }
-    if (!PrefetchQ.empty()) {
-      RoutineId R = PrefetchQ.front();
-      PrefetchQ.pop_front();
-      PrefetchBusy = true;
-      Q.unlock();
-      prefetchOne(R);
-      Q.lock();
-      PrefetchBusy = false;
-      QIdleCv.notify_all();
-      continue;
-    }
-    if (StopIo)
-      return;
-  }
-}
-
-void LoaderShard::prefetchOne(RoutineId R) {
-  if (R >= P.numRoutines() || !P.routine(R).IsDefined)
-    return;
-  std::unique_lock<std::mutex> L(M);
-  RoutineSlot &S = P.routine(R).Slot;
-  // Only a parked compact/offloaded pool is worth readahead; anything
-  // resident, transitioning, or racing ahead of us is left alone. Also stop
-  // filling a cache that is already at this shard's slice of the budget —
-  // prefetch must not thrash.
-  if (S.InTransition || S.State == PoolState::Expanded ||
-      S.State == PoolState::None)
-    return;
-  if (CachedBytes.load(Relaxed) >= Config.ExpandedCacheBytes / F.NumShards)
-    return;
-  std::vector<uint8_t> Raw;
-  bool FromRepo = false;
-  bool FromQueue = false;
-  uint64_t Off = 0, Sz = 0;
-  uint64_t QueueRawHash = 0;
-  if (S.State == PoolState::Offloaded) {
-    if (S.SpillTicket != 0) {
-      std::lock_guard<std::mutex> Q(QM);
-      for (const auto &E : SpillQ) {
-        if (E->Ticket == S.SpillTicket) {
-          Raw = E->Raw;
-          QueueRawHash = E->RawHash;
-          FromQueue = true;
-          break;
-        }
-      }
-      if (!FromQueue)
-        return;
-    } else {
-      FromRepo = true;
-      Off = S.RepoOffset;
-      Sz = S.RepoSize;
-    }
-  } else {
-    Raw = S.CompactBytes.take();
-  }
-  S.InTransition = true;
-  L.unlock();
-  Status Err;
-  std::string RetryDetail;
-  if (FromRepo)
-    Err = fetchRecord(Off, Sz, Raw, RetryDetail);
-  std::unique_ptr<RoutineBody> Body;
-  uint64_t RawHash = QueueRawHash;
-  uint64_t RawSize = Raw.size();
-  if (Err.ok()) {
-    RawSize = Raw.size();
-    if (FromRepo)
-      RawHash = hashBytes(Raw.data(), Raw.size());
-    Body = expandRoutine(Raw, P.tracker());
-  }
-  L.lock();
-  S.InTransition = false;
-  TransitionCv.notify_all();
-  if (!RetryDetail.empty()) {
-    Stats.FetchRetries.fetch_add(1, Relaxed);
-    Events.push_back({LoaderEvent::Kind::FetchRetried, R, RetryDetail});
-  }
-  if (!Err.ok() || !Body) {
-    // Readahead never poisons: put the source back (for compact pools) and
-    // let the real acquire drive the full degradation ladder — that path is
-    // deterministic, this one is opportunistic.
-    if (!FromRepo && !FromQueue) {
-      S.CompactBytes = TrackedBuffer(P.tracker(), MemCategory::HloCompact);
-      S.CompactBytes.assign(std::move(Raw));
-    }
-    return;
-  }
-  installBodyLocked(R, std::move(Body));
-  if (FromRepo) {
-    S.LastRepoOffset = Off;
-    S.LastRepoSize = Sz;
-    S.LastRawHash = RawHash;
-    S.LastRawSize = RawSize;
-    S.CleanSinceRepo = true;
-    Stats.Fetches.fetch_add(1, Relaxed);
-  } else if (FromQueue) {
-    S.CleanSinceRepo = true;
-    Stats.Fetches.fetch_add(1, Relaxed);
-    Stats.SpillQueueHits.fetch_add(1, Relaxed);
-  }
-  // Park the body in the cache as an unpinned, prefetched resident: the
-  // acquire it anticipates is a cache hit (and a PrefetchHit).
-  S.WasPrefetched = true;
-  S.UnloadPending = true;
-  S.LruTick = ++Tick;
-  CacheOrder.insert({S.LruTick, R});
-  CachedBytes.fetch_add(S.Body->irBytes(), Relaxed);
-  Stats.Expansions.fetch_add(1, Relaxed);
-}
-
-void LoaderShard::drainSpills() {
-  std::unique_lock<std::mutex> Q(QM);
-  QIdleCv.wait(Q, [&] { return SpillQ.empty() && !SpillBusy; });
-}
-
-void LoaderShard::drainPrefetches() {
-  std::unique_lock<std::mutex> Q(QM);
-  QIdleCv.wait(Q, [&] { return PrefetchQ.empty() && !PrefetchBusy; });
-}
-
-void LoaderShard::setSchedule(std::vector<RoutineId> Order) {
-  std::lock_guard<std::mutex> Q(QM);
-  if (Order.empty()) {
-    // This shard owns nothing in the upcoming stage: drop any stale window.
-    ScheduleActive.store(false, std::memory_order_release);
-    PrefetchQ.clear();
-    Schedule.clear();
-    return;
-  }
-  Schedule = std::move(Order);
-  SchedPos.store(0, Relaxed);
-  PrefetchQ.clear();
-  for (size_t I = 0; I < Config.PrefetchDepth && I < Schedule.size(); ++I)
-    PrefetchQ.push_back(Schedule[I]);
-  ScheduleActive.store(true, std::memory_order_release);
-  ensureIoThreadLocked();
-  QWorkCv.notify_all();
-}
-
-void LoaderShard::clearSchedule() {
-  std::unique_lock<std::mutex> Q(QM);
-  if (!ScheduleActive.load(Relaxed) && PrefetchQ.empty() && !PrefetchBusy)
-    return;
-  ScheduleActive.store(false, std::memory_order_release);
-  PrefetchQ.clear();
-  QIdleCv.wait(Q, [&] { return !PrefetchBusy; });
-  Schedule.clear();
-}
-
-LoaderStats LoaderShard::snapshot() const {
-  LoaderStats S;
-  S.Acquires = Stats.Acquires.load(Relaxed);
-  S.CacheHits = Stats.CacheHits.load(Relaxed);
-  S.Expansions = Stats.Expansions.load(Relaxed);
-  S.Compactions = Stats.Compactions.load(Relaxed);
-  S.Offloads = Stats.Offloads.load(Relaxed);
-  S.Fetches = Stats.Fetches.load(Relaxed);
-  S.SpillElisions = Stats.SpillElisions.load(Relaxed);
-  S.SpillQueueHits = Stats.SpillQueueHits.load(Relaxed);
-  S.PrefetchHits = Stats.PrefetchHits.load(Relaxed);
-  S.PrefetchWasted = Stats.PrefetchWasted.load(Relaxed);
-  S.RawBytes = Repo.rawBytesStored();
-  S.CompressedBytes = Repo.bytesStored();
-  S.LockWaitNanos = Stats.LockWaitNanos.load(Relaxed);
-  S.Contentions = Stats.Contentions.load(Relaxed);
-  S.SpillFailures = Stats.SpillFailures.load(Relaxed);
-  S.FetchRetries = Stats.FetchRetries.load(Relaxed);
-  S.Recoveries = Stats.Recoveries.load(Relaxed);
-  S.PoisonedPools = Stats.PoisonedPools.load(Relaxed);
-  return S;
-}
-
-//===----------------------------------------------------------------------===//
-// Loader facade
-//===----------------------------------------------------------------------===//
 
 Loader::Loader(Program &P, const NaimConfig &Config)
     : P(P), Config(Config),
-      // 0 = "auto": the driver resolves it to the pool width before
-      // constructing the loader; a bare Loader (unit tests) treats 0 as 1,
-      // the exact monolithic pre-shard behavior.
-      NumShards(Config.Shards ? Config.Shards : 1),
       Faults(Config.Injector ? Config.Injector : FaultInjector::fromEnv()),
-      Arbiter(Config.ExpandedCacheBytes, NumShards) {
-  ShardList.reserve(NumShards);
-  for (unsigned I = 0; I != NumShards; ++I)
-    ShardList.push_back(std::make_unique<LoaderShard>(*this, I));
-  // The I/O threads hold RoutineSlot references across blocking stores;
-  // if the routine table grows past its capacity those slots move. Park
-  // the async work whenever the program is about to reallocate it, so
-  // interleaving frontend declarations with loader traffic stays safe.
-  P.setSlotGrowBarrier([this] {
-    drainSpills();
-    drainPrefetches();
-  });
+      Repo(Config.RepositoryPath, Faults) {
+  // The writer holds RoutineSlot references across blocking stores; if the
+  // routine table grows past its capacity those slots move. Park the async
+  // work whenever the program is about to reallocate it, so interleaving
+  // frontend declarations with loader traffic stays safe.
+  P.setSlotGrowBarrier([this] { drainSpills(); });
 }
 
 Loader::~Loader() {
   P.setSlotGrowBarrier(nullptr);
-  ShardList.clear();
+  {
+    std::lock_guard<std::mutex> Q(QM);
+    StopWriter = true;
+    // Queued spills still get stored: the writer drains before exiting.
+    QWorkCv.notify_all();
+  }
+  if (Writer.joinable())
+    Writer.join();
+}
+
+std::unique_lock<std::mutex> Loader::lockM() {
+  std::unique_lock<std::mutex> L(M, std::try_to_lock);
+  if (!L.owns_lock()) {
+    Stats.Contentions.fetch_add(1, Relaxed);
+    auto T0 = std::chrono::steady_clock::now();
+    L.lock();
+    Stats.LockWaitNanos.fetch_add(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - T0)
+            .count(),
+        Relaxed);
+  }
+  return L;
 }
 
 // The threshold predicates read only the config and the (atomic) tracker
 // totals, so they need no lock of their own; the callers that act on them
-// (enforceBudgetLocked) already hold their shard's mutex.
+// (enforceBudgetLocked) already hold the mutex.
 
 bool Loader::irCompactionEnabled() const {
   switch (Config.Mode) {
@@ -1224,6 +153,10 @@ bool Loader::offloadEnabled() const {
   scmo_unreachable("invalid NAIM mode");
 }
 
+//===----------------------------------------------------------------------===//
+// Acquire / release / budget
+//===----------------------------------------------------------------------===//
+
 RoutineBody *Loader::acquireIfDefined(RoutineId R) {
   if (!P.routine(R).IsDefined)
     return nullptr;
@@ -1237,68 +170,574 @@ const RoutineBody *Loader::acquireReadIfDefined(RoutineId R) {
 }
 
 RoutineBody &Loader::acquire(RoutineId R) {
-  return ShardList[shardOf(R)]->acquireImpl(R, /*Mutable=*/true);
+  return acquireImpl(R, /*Mutable=*/true);
 }
 
 const RoutineBody &Loader::acquireRead(RoutineId R) {
-  return ShardList[shardOf(R)]->acquireImpl(R, /*Mutable=*/false);
+  return acquireImpl(R, /*Mutable=*/false);
 }
 
-void Loader::release(RoutineId R) { ShardList[shardOf(R)]->release(R); }
+RoutineBody &Loader::acquireImpl(RoutineId R, bool Mutable) {
+  Stats.Acquires.fetch_add(1, Relaxed);
+  std::unique_lock<std::mutex> L = lockM();
+  RoutineInfo &RI = P.routine(R);
+  RoutineSlot &S = RI.Slot;
+  assert(RI.IsDefined && "acquiring an undefined routine");
+  // A transition (decode/encode outside the mutex) owns the slot; wait for
+  // it to land rather than observing a half-moved state.
+  while (S.InTransition)
+    TransitionCv.wait(L);
+  switch (S.State) {
+  case PoolState::Expanded:
+    if (S.UnloadPending) {
+      // Cache hit: just flip the state back; no loading work at all — the
+      // payoff of the lazy unloader (paper Section 4.3).
+      Stats.CacheHits.fetch_add(1, Relaxed);
+      unlinkLocked(R);
+      S.UnloadPending = false;
+    }
+    break;
+  case PoolState::Compact:
+  case PoolState::Offloaded: {
+    Status St = expandPool(R, L);
+    // An unrecoverable pool is poisoned, never fatal: the caller gets a
+    // stub body so in-flight phases complete safely, and the driver fails
+    // the build with the latched error at its next checkpoint.
+    if (!St.ok())
+      poisonPoolLocked(R, std::move(St));
+    break;
+  }
+  case PoolState::None:
+    scmo_unreachable("defined routine with no pool");
+  }
+  if (Mutable) {
+    S.CleanSinceRepo = false;
+    // The body may change under this pin: the cached summary is stale. The
+    // matching release recomputes it while the body is still resident.
+    if (S.Summary) {
+      S.Summary.reset();
+      S.ResummarizeOnRelease = true;
+    }
+  }
+  ++S.Pins;
+  return *S.Body;
+}
+
+void Loader::parkLocked(RoutineId R) {
+  RoutineSlot &S = P.routine(R).Slot;
+  // Summarize while the body is still resident (a scan, not a decode): a
+  // mutable pin-cycle just ended and discarded the summary, or — when pools
+  // can park at all — this body has never been summarized and the next
+  // whole-set consumer would otherwise have to re-expand it.
+  if (S.ResummarizeOnRelease || (!S.Summary && irCompactionEnabled())) {
+    S.Summary = summarizeBody(*S.Body);
+    S.ResummarizeOnRelease = false;
+  }
+  // Mark unload-pending and append to the LRU tail; actual compaction
+  // happens only if the budget demands it.
+  S.UnloadPending = true;
+  S.LruPrev = LruTail;
+  S.LruNext = InvalidId;
+  (LruTail != InvalidId ? P.routine(LruTail).Slot.LruNext : LruHead) = R;
+  LruTail = R;
+  ++CachedPools;
+  CachedBytes += S.Body->irBytes();
+}
+
+void Loader::unlinkLocked(RoutineId R) {
+  RoutineSlot &S = P.routine(R).Slot;
+  (S.LruPrev != InvalidId ? P.routine(S.LruPrev).Slot.LruNext : LruHead) =
+      S.LruNext;
+  (S.LruNext != InvalidId ? P.routine(S.LruNext).Slot.LruPrev : LruTail) =
+      S.LruPrev;
+  S.LruPrev = S.LruNext = InvalidId;
+  --CachedPools;
+  CachedBytes -= S.Body->irBytes();
+}
+
+void Loader::release(RoutineId R) {
+  std::unique_lock<std::mutex> L = lockM();
+  RoutineSlot &S = P.routine(R).Slot;
+  if (S.State != PoolState::Expanded || S.UnloadPending || S.InTransition)
+    return;
+  // Drop one pin; the pool stays resident while any worker still holds it.
+  // (Pins == 0 here means a "born pinned" body the frontend installed and
+  // nobody ever acquired: its first release unpins it.)
+  if (S.Pins > 0 && --S.Pins > 0)
+    return;
+  parkLocked(R);
+  enforceBudgetLocked(L, /*Everything=*/false);
+}
 
 void Loader::releaseAll() {
-  bool NeedsRelief = false;
-  for (auto &Sh : ShardList)
-    NeedsRelief |= Sh->releaseAllShard();
-  if (NeedsRelief)
-    relievePressure();
+  std::unique_lock<std::mutex> L(M);
+  for (RoutineId R = 0; R != P.numRoutines(); ++R) {
+    RoutineSlot &S = P.routine(R).Slot;
+    if (S.State == PoolState::Expanded && !S.UnloadPending &&
+        !S.InTransition) {
+      // Phase boundary: forcibly forget any outstanding pins — no worker
+      // may hold a body across a phase.
+      S.Pins = 0;
+      parkLocked(R);
+    }
+  }
+  enforceBudgetLocked(L, /*Everything=*/false);
 }
 
 void Loader::enforceBudget(bool Everything) {
-  bool NeedsRelief = false;
-  for (auto &Sh : ShardList)
-    NeedsRelief |= Sh->enforceBudgetShard(Everything);
-  if (NeedsRelief)
-    relievePressure();
+  std::unique_lock<std::mutex> L(M);
+  enforceBudgetLocked(L, Everything);
 }
 
 const RoutineIlSummary *Loader::routineSummary(RoutineId R) {
-  return ShardList[shardOf(R)]->routineSummary(R);
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    const RoutineSlot &S = P.routine(R).Slot;
+    if (S.Summary)
+      return S.Summary.get();
+  }
+  if (!P.routine(R).IsDefined)
+    return nullptr;
+  const RoutineBody &Body = acquireImpl(R, /*Mutable=*/false);
+  auto Sum = summarizeBody(Body);
+  const RoutineIlSummary *Raw;
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    RoutineSlot &S = P.routine(R).Slot;
+    S.Summary = std::move(Sum);
+    Raw = S.Summary.get();
+  }
+  release(R);
+  return Raw;
 }
 
-void Loader::relievePressure() {
-  // Single-flight: concurrent over-budget shards queue up here rather than
-  // fighting over victims. Lock order: PressureM -> one shard M at a time
-  // (inside trySettle/compactOneVictim); callers hold no shard mutex.
-  std::lock_guard<std::mutex> PL(PressureM);
-  for (;;) {
-    bool AnyUncovered = false;
-    for (auto &Sh : ShardList)
-      if (!Sh->trySettle())
-        AnyUncovered = true;
-    if (!AnyUncovered)
+void Loader::enforceBudgetLocked(std::unique_lock<std::mutex> &L,
+                                 bool Everything) {
+  if (!irCompactionEnabled())
+    return;
+  // Evict least-recently-used pools while the cache is over its soft cap.
+  // Only unpinned pools live in the LRU list, so a pool another worker holds
+  // can never be chosen. compactPool drops the mutex around the encode; the
+  // loop re-reads the cache state afterwards, so concurrent
+  // releases/evictions interleave correctly.
+  while (LruHead != InvalidId &&
+         (Everything || CachedBytes > Config.ExpandedCacheBytes))
+    evictOneLocked(L);
+  offloadOverBudgetLocked(L);
+}
+
+void Loader::evictOneLocked(std::unique_lock<std::mutex> &L) {
+  RoutineId Victim = LruHead;
+  RoutineSlot &S = P.routine(Victim).Slot;
+  unlinkLocked(Victim);
+  // Clean fast path: a pool that was never mutably acquired since it was
+  // expanded from its repository record (or from its still-queued spill)
+  // drops straight back to that record — no re-encode, no store, no
+  // compact residency. Content-equal by history, so deterministic.
+  if (S.CleanSinceRepo && offloadEnabled() && !SpillDisabled.load(Relaxed) &&
+      (S.SpillTicket != 0 || S.LastRepoSize != 0)) {
+    S.Body.reset();
+    S.UnloadPending = false;
+    S.State = PoolState::Offloaded;
+    Stats.Compactions.fetch_add(1, Relaxed);
+    if (S.SpillTicket) {
+      // The record is still pending: its offset arrives at writer
+      // finalize, fetches are served from the queue until then, and the
+      // drop counts as an offload only if that store lands.
+      S.RepoOffset = 0;
+      S.RepoSize = 0;
+      std::lock_guard<std::mutex> Q(QM);
+      for (const auto &E : SpillQ)
+        if (E->Ticket == S.SpillTicket)
+          ++E->Drops;
       return;
-    // Victim = the shard with the most resident cache bytes, lowest index
-    // on ties (stable sort over the index order): deterministic given the
-    // same resident distribution, and it frees the most budget per
-    // compaction.
-    std::vector<unsigned> Order(NumShards);
-    for (unsigned I = 0; I != NumShards; ++I)
-      Order[I] = I;
-    std::stable_sort(Order.begin(), Order.end(), [&](unsigned A, unsigned B) {
-      return ShardList[A]->cacheBytes() > ShardList[B]->cacheBytes();
-    });
-    bool Progress = false;
-    for (unsigned I : Order)
-      if (ShardList[I]->compactOneVictim()) {
-        Progress = true;
-        break;
-      }
-    if (!Progress)
-      return; // Nothing evictable anywhere; shards stay over until pools
-              // release.
+    }
+    S.RepoOffset = S.LastRepoOffset;
+    S.RepoSize = S.LastRepoSize;
+    Stats.Offloads.fetch_add(1, Relaxed);
+    Stats.SpillElisions.fetch_add(1, Relaxed);
+    return;
+  }
+  compactPool(Victim, L);
+}
+
+void Loader::offloadOverBudgetLocked(std::unique_lock<std::mutex> &L) {
+  // Second stage: offload compact pools beyond the compact-residency
+  // budget. A degraded loader (earlier spill failure) keeps everything
+  // resident: the budget is lifted rather than enforced against a dead
+  // disk.
+  if (!offloadEnabled() || SpillDisabled.load(Relaxed) || !P.tracker())
+    return;
+  if (P.tracker()->liveBytes(MemCategory::HloCompact) <=
+      Config.CompactResidentBytes)
+    return;
+  // Offload in deterministic id order; compact pools carry no LRU order
+  // (their last-touch ordering died at compaction), and id order keeps the
+  // pass reproducible.
+  for (RoutineId R = 0; R != P.numRoutines(); ++R) {
+    if (SpillDisabled.load(Relaxed) ||
+        P.tracker()->liveBytes(MemCategory::HloCompact) <=
+            Config.CompactResidentBytes)
+      break;
+    RoutineSlot &S = P.routine(R).Slot;
+    if (S.State == PoolState::Compact && !S.InTransition)
+      offloadPool(R, L);
   }
 }
+
+//===----------------------------------------------------------------------===//
+// Compaction / offload / expansion / fault ladder
+//===----------------------------------------------------------------------===//
+
+void Loader::compactPool(RoutineId R, std::unique_lock<std::mutex> &L) {
+  RoutineSlot &S = P.routine(R).Slot;
+  assert(S.State == PoolState::Expanded && S.UnloadPending &&
+         "compacting a pinned pool");
+  assert(!S.InTransition && "compacting a transitioning pool");
+  // The caller already removed the pool from the cache. Detach the body and
+  // encode outside the mutex: the swizzle is CPU work other workers need
+  // not serialize on.
+  std::unique_ptr<RoutineBody> Body = std::move(S.Body);
+  S.UnloadPending = false;
+  S.InTransition = true;
+  L.unlock();
+  std::vector<uint8_t> Bytes = compactRoutine(*Body);
+  Body.reset();
+  uint64_t Hash = hashBytes(Bytes.data(), Bytes.size());
+  L.lock();
+  S.InTransition = false;
+  TransitionCv.notify_all();
+  restoreCompactLocked(R, std::move(Bytes), Hash);
+  Stats.Compactions.fetch_add(1, Relaxed);
+}
+
+void Loader::restoreCompactLocked(RoutineId R, std::vector<uint8_t> Bytes,
+                                  uint64_t Hash) {
+  RoutineSlot &S = P.routine(R).Slot;
+  S.CompactBytes = TrackedBuffer(P.tracker(), MemCategory::HloCompact);
+  S.CompactBytes.assign(std::move(Bytes));
+  S.CompactHash = Hash;
+  S.State = PoolState::Compact;
+}
+
+void Loader::offloadPool(RoutineId R, std::unique_lock<std::mutex> &L) {
+  if (Config.SpillQueueDepth != 0 && SpillQ.size() >= Config.SpillQueueDepth) {
+    // Backpressure: wait for the writer to free a slot rather than store
+    // beside it, so stores land in queue order and a failing store is
+    // always seen before any later one is issued. The pool may move, or
+    // the writer may degrade the loader, while M is released.
+    SpaceCv.wait(L, [&] { return SpillQ.size() < Config.SpillQueueDepth; });
+    const RoutineSlot &S = P.routine(R).Slot;
+    if (SpillDisabled.load(Relaxed) || S.State != PoolState::Compact ||
+        S.InTransition)
+      return;
+  }
+  RoutineSlot &S = P.routine(R).Slot;
+  assert(S.State == PoolState::Compact && "offloading a non-compact pool");
+  // Content-addressed store elision: if these exact compact bytes already
+  // live in the repository (the pool round-tripped without changing), reuse
+  // the record instead of storing a duplicate.
+  if (S.LastRepoSize != 0 && S.CompactHash == S.LastRepoHash &&
+      S.CompactBytes.size() == S.LastRepoSize) {
+    S.CompactBytes.clear();
+    S.State = PoolState::Offloaded;
+    S.RepoOffset = S.LastRepoOffset;
+    S.RepoSize = S.LastRepoSize;
+    Stats.Offloads.fetch_add(1, Relaxed);
+    Stats.SpillElisions.fetch_add(1, Relaxed);
+    return;
+  }
+  std::vector<uint8_t> Bytes = S.CompactBytes.take();
+  uint64_t Hash = S.CompactHash;
+  if (Config.SpillQueueDepth == 0) {
+    storeSyncLocked(R, std::move(Bytes), Hash);
+    return;
+  }
+  // Write-behind: park the bytes on the queue and move on; the writer
+  // stores without holding M. The pool is Offloaded-pending (ticket set,
+  // RepoSize 0) until finalize, which also counts the offload.
+  std::lock_guard<std::mutex> Q(QM);
+  if (!Writer.joinable())
+    Writer = std::thread([this] { writerMain(); });
+  auto E = std::make_shared<SpillEntry>();
+  E->R = R;
+  E->Ticket = ++NextTicket;
+  E->Bytes = std::move(Bytes);
+  E->Hash = Hash;
+  S.SpillTicket = E->Ticket;
+  S.State = PoolState::Offloaded;
+  S.RepoOffset = 0;
+  S.RepoSize = 0;
+  SpillQ.push_back(std::move(E));
+  QWorkCv.notify_all();
+}
+
+void Loader::storeSyncLocked(RoutineId R, std::vector<uint8_t> Bytes,
+                             uint64_t Hash) {
+  RoutineSlot &S = P.routine(R).Slot;
+  Expected<uint64_t> Off = Repo.store(Bytes);
+  if (!Off.ok()) {
+    degradeSpillsLocked(R, Off.status());
+    // Degradation instead of death: the pool keeps its compact bytes, the
+    // loader stops spilling for good, and the compact-residency budget is
+    // lifted (offloadOverBudgetLocked checks SpillDisabled). A slower,
+    // fatter compile — not a dead one.
+    restoreCompactLocked(R, std::move(Bytes), Hash);
+    return;
+  }
+  S.State = PoolState::Offloaded;
+  S.RepoOffset = *Off;
+  S.RepoSize = Bytes.size();
+  S.LastRepoOffset = *Off;
+  S.LastRepoSize = Bytes.size();
+  S.LastRepoHash = Hash;
+  Stats.Offloads.fetch_add(1, Relaxed);
+}
+
+void Loader::degradeSpillsLocked(RoutineId R, const Status &Cause) {
+  if (!SpillDisabled.load(Relaxed)) {
+    SpillDisabled.store(true, Relaxed);
+    Stats.SpillFailures.fetch_add(1, Relaxed);
+    Events.push_back({LoaderEvent::Kind::SpillDegraded, R,
+                      "repository spill failed (" + Cause.toString() +
+                          "); offloading disabled, pools stay "
+                          "memory-resident"});
+  }
+  // Restore every queued (not in-flight) spill to compact residency: their
+  // stores would fail against the same dead disk. The in-flight front entry
+  // stays — the writer owns it and applies its own outcome.
+  std::lock_guard<std::mutex> Q(QM);
+  while (SpillQ.size() > (SpillBusy ? 1u : 0u)) {
+    std::shared_ptr<SpillEntry> E = std::move(SpillQ.back());
+    SpillQ.pop_back();
+    RoutineSlot &S = P.routine(E->R).Slot;
+    if (S.SpillTicket == E->Ticket) {
+      S.SpillTicket = 0;
+      if (S.State == PoolState::Offloaded && S.RepoSize == 0)
+        restoreCompactLocked(E->R, std::move(E->Bytes), E->Hash);
+    }
+  }
+  QIdleCv.notify_all();
+  SpaceCv.notify_all();
+}
+
+Status Loader::fetchRecord(uint64_t Offset, uint64_t Size,
+                           std::vector<uint8_t> &Bytes,
+                           std::string &RetryDetail) {
+  Status FS = Repo.fetch(Offset, Size, Bytes);
+  if (!FS.ok() && FS.code() == StatusCode::Corruption) {
+    // One immediate re-read: corruption introduced between the platter and
+    // us (a flipped buffer, a racing cache) heals; bit-rot that made it to
+    // disk does not, and falls through to object-file recovery.
+    RetryDetail = FS.message();
+    FS = Repo.fetch(Offset, Size, Bytes);
+  }
+  return FS;
+}
+
+Status Loader::expandPool(RoutineId R, std::unique_lock<std::mutex> &L) {
+  RoutineSlot &S = P.routine(R).Slot;
+  assert(!S.InTransition && "expanding a transitioning pool");
+  std::vector<uint8_t> Bytes;
+  bool FromRepo = false;
+  bool FromQueue = false;
+  uint64_t Off = 0, Sz = 0;
+  uint64_t Hash = 0;
+  if (S.State == PoolState::Offloaded) {
+    if (S.SpillTicket != 0) {
+      // The record is still in the write-behind queue (or in the writer's
+      // hands — it stays in the deque until finalized, and finalize needs
+      // M, which we hold). Serve the payload straight from the entry; the
+      // store itself proceeds untouched.
+      std::lock_guard<std::mutex> Q(QM);
+      for (const auto &E : SpillQ) {
+        if (E->Ticket == S.SpillTicket) {
+          Bytes = E->Bytes;
+          FromQueue = true;
+          break;
+        }
+      }
+      assert(FromQueue && "pending spill ticket without a queue entry");
+      if (FromQueue) {
+        Stats.SpillQueueHits.fetch_add(1, Relaxed);
+        Stats.Fetches.fetch_add(1, Relaxed);
+      }
+    }
+    if (!FromQueue) {
+      FromRepo = true;
+      Off = S.RepoOffset;
+      Sz = S.RepoSize;
+    }
+  } else {
+    assert(S.State == PoolState::Compact && "expanding a non-compact pool");
+    Bytes = S.CompactBytes.take();
+  }
+  // Fetch and decode outside the mutex; the transition flag owns the slot.
+  S.InTransition = true;
+  L.unlock();
+  Status Err;
+  std::string RetryDetail;
+  if (FromRepo)
+    Err = fetchRecord(Off, Sz, Bytes, RetryDetail);
+  std::unique_ptr<RoutineBody> Body;
+  if (Err.ok()) {
+    if (FromRepo)
+      Hash = hashBytes(Bytes.data(), Bytes.size());
+    // Uncompaction: decode and eagerly swizzle PIDs back to in-memory form.
+    Body = expandRoutine(Bytes, P.tracker());
+  }
+  L.lock();
+  S.InTransition = false;
+  TransitionCv.notify_all();
+  if (!RetryDetail.empty()) {
+    Stats.FetchRetries.fetch_add(1, Relaxed);
+    Events.push_back({LoaderEvent::Kind::FetchRetried, R, RetryDetail});
+  }
+  if (!Err.ok())
+    return recoverPoolLocked(R, std::move(Err));
+  if (FromRepo)
+    Stats.Fetches.fetch_add(1, Relaxed);
+  if (!Body)
+    return recoverPoolLocked(
+        R, Status::error(StatusCode::Corruption,
+                         "corrupt compact pool for " + P.displayName(R)));
+  installBodyLocked(R, std::move(Body));
+  if (FromRepo) {
+    // Remember the record: if the body round-trips unmutated, eviction can
+    // reuse it (clean fast path / store elision).
+    S.LastRepoOffset = Off;
+    S.LastRepoSize = Sz;
+    S.LastRepoHash = Hash;
+    S.CleanSinceRepo = true;
+  } else if (FromQueue) {
+    // The pending record holds exactly these bytes; the writer fills in
+    // the LastRepo* fields at finalize (ticket match).
+    S.CleanSinceRepo = true;
+  }
+  Stats.Expansions.fetch_add(1, Relaxed);
+  return Status();
+}
+
+Status Loader::recoverPoolLocked(RoutineId R, Status Cause) {
+  if (Recover) {
+    if (std::unique_ptr<RoutineBody> Body = Recover(R)) {
+      installBodyLocked(R, std::move(Body));
+      // The object-file body is not what was summarized (the pool may have
+      // been optimized since); an expand install, by contrast, decodes the
+      // very bytes the summary described, so it keeps it.
+      P.routine(R).Slot.Summary.reset();
+      P.routine(R).Slot.ResummarizeOnRelease = false;
+      Stats.Recoveries.fetch_add(1, Relaxed);
+      Events.push_back({LoaderEvent::Kind::Recovered, R,
+                        Cause.message() + "; re-expanded " + P.displayName(R) +
+                            " from its object file"});
+      return Status();
+    }
+  }
+  return Cause;
+}
+
+void Loader::installBodyLocked(RoutineId R, std::unique_ptr<RoutineBody> Body) {
+  RoutineSlot &S = P.routine(R).Slot;
+  S.Body = std::move(Body);
+  S.CompactBytes.clear();
+  S.State = PoolState::Expanded;
+  S.UnloadPending = false;
+  // The installed body's provenance decides cleanliness; expandPool re-sets
+  // the flag for record-sourced bodies. A recovered (object-file) body in
+  // particular must never reuse a record that just proved corrupt.
+  S.CleanSinceRepo = false;
+  S.LastRepoSize = 0;
+  S.LastRepoOffset = 0;
+  S.LastRepoHash = 0;
+}
+
+void Loader::poisonPoolLocked(RoutineId R, Status Cause) {
+  Stats.PoisonedPools.fetch_add(1, Relaxed);
+  Events.push_back({LoaderEvent::Kind::PoolPoisoned, R, Cause.toString()});
+  if (FirstErr.ok())
+    FirstErr = std::move(Cause);
+  // Install a minimal valid stub (one Ret) so the acquiring phase can run
+  // to completion without dereferencing a dead pool; the latched FirstErr
+  // guarantees the driver discards the results.
+  const RoutineInfo &RI = P.routine(R);
+  auto Stub = std::make_unique<RoutineBody>(P.tracker());
+  Stub->NumParams = RI.NumParams;
+  Stub->NextReg = RI.NumParams + 1;
+  Stub->newBlock();
+  Instr *Ret = Stub->newInstr(Opcode::Ret);
+  Ret->A = Operand::imm(0);
+  Stub->Blocks[0].Instrs.push_back(Ret);
+  installBodyLocked(R, std::move(Stub));
+  P.routine(R).Slot.Summary.reset();
+  P.routine(R).Slot.ResummarizeOnRelease = false;
+}
+
+//===----------------------------------------------------------------------===//
+// Write-behind writer thread
+//===----------------------------------------------------------------------===//
+
+void Loader::writerMain() {
+  std::unique_lock<std::mutex> Q(QM);
+  for (;;) {
+    QWorkCv.wait(Q, [&] { return StopWriter || !SpillQ.empty(); });
+    if (SpillQ.empty())
+      return; // Stopping, and every queued spill has been stored.
+    // Claim the front entry but leave it in the deque: a racing fetch finds
+    // the payload there for as long as the slot's ticket stands.
+    std::shared_ptr<SpillEntry> E = SpillQ.front();
+    SpillBusy = true;
+    Q.unlock();
+    Expected<uint64_t> Off = Repo.store(E->Bytes);
+    {
+      std::unique_lock<std::mutex> LM(M);
+      {
+        std::lock_guard<std::mutex> Q2(QM);
+        SpillQ.pop_front();
+        SpillBusy = false;
+      }
+      SpaceCv.notify_all();
+      RoutineSlot &S = P.routine(E->R).Slot;
+      // A dirtied pool may have re-spilled under a newer ticket while we
+      // stored; then this record is simply dead space in the repository.
+      bool Mine = S.SpillTicket == E->Ticket;
+      if (!Off.ok()) {
+        degradeSpillsLocked(E->R, Off.status());
+        if (Mine) {
+          S.SpillTicket = 0;
+          if (S.State == PoolState::Offloaded && S.RepoSize == 0)
+            restoreCompactLocked(E->R, std::move(E->Bytes), E->Hash);
+        }
+      } else {
+        // The store landed: only now do it and the clean drops onto it
+        // count, so the final counters do not depend on when the writer ran.
+        Stats.Offloads.fetch_add(1 + E->Drops, Relaxed);
+        Stats.SpillElisions.fetch_add(E->Drops, Relaxed);
+        if (Mine) {
+          S.SpillTicket = 0;
+          S.LastRepoOffset = *Off;
+          S.LastRepoSize = E->Bytes.size();
+          S.LastRepoHash = E->Hash;
+          if (S.State == PoolState::Offloaded && S.RepoSize == 0) {
+            S.RepoOffset = *Off;
+            S.RepoSize = E->Bytes.size();
+          }
+        }
+      }
+    }
+    QIdleCv.notify_all();
+    Q.lock();
+  }
+}
+
+void Loader::drainSpills() {
+  std::unique_lock<std::mutex> Q(QM);
+  QIdleCv.wait(Q, [&] { return SpillQ.empty() && !SpillBusy; });
+}
+
+//===----------------------------------------------------------------------===//
+// Queries
+//===----------------------------------------------------------------------===//
 
 void Loader::maybeCompactSymtabs() {
   if (!stCompactionEnabled())
@@ -1308,131 +747,53 @@ void Loader::maybeCompactSymtabs() {
     ModuleSymtab &St = P.module(MI).Symtab;
     if (St.state() == PoolState::Expanded && St.expandedBytes()) {
       St.compact(P.tracker());
-      SymtabCompactions.fetch_add(1, Relaxed);
+      Stats.SymtabCompactions.fetch_add(1, Relaxed);
     }
   }
 }
 
-void Loader::drainSpills() {
-  for (auto &Sh : ShardList)
-    Sh->drainSpills();
-}
-
-void Loader::drainPrefetches() {
-  for (auto &Sh : ShardList)
-    Sh->drainPrefetches();
-}
-
-void Loader::setAcquisitionSchedule(std::vector<RoutineId> Order) {
-  if (Config.PrefetchDepth == 0 || Order.empty() || !irCompactionEnabled())
-    return;
-  if (NumShards == 1) {
-    ShardList[0]->setSchedule(std::move(Order));
-    return;
-  }
-  // Split the schedule by owning shard, preserving relative order: each
-  // shard's prefetch window slides over its own slice, so readahead tracks
-  // the acquire stream that will actually reach that shard.
-  std::vector<std::vector<RoutineId>> Slices(NumShards);
-  for (RoutineId R : Order)
-    Slices[shardOf(R)].push_back(R);
-  for (unsigned I = 0; I != NumShards; ++I)
-    ShardList[I]->setSchedule(std::move(Slices[I]));
-}
-
-void Loader::clearAcquisitionSchedule() {
-  for (auto &Sh : ShardList)
-    Sh->clearSchedule();
-}
-
 uint64_t Loader::cacheBytes() const {
-  uint64_t Sum = 0;
-  for (const auto &Sh : ShardList)
-    Sum += Sh->cacheBytes();
-  return Sum;
+  std::lock_guard<std::mutex> L(M);
+  return CachedBytes;
 }
 
 size_t Loader::cachedPoolCount() const {
-  size_t Sum = 0;
-  for (const auto &Sh : ShardList)
-    Sum += Sh->cachedPoolCount();
-  return Sum;
+  std::lock_guard<std::mutex> L(M);
+  return CachedPools;
 }
 
 LoaderStats Loader::stats() const {
-  LoaderStats Sum;
-  for (const auto &Sh : ShardList) {
-    LoaderStats S = Sh->snapshot();
-    Sum.Acquires += S.Acquires;
-    Sum.CacheHits += S.CacheHits;
-    Sum.Expansions += S.Expansions;
-    Sum.Compactions += S.Compactions;
-    Sum.Offloads += S.Offloads;
-    Sum.Fetches += S.Fetches;
-    Sum.SpillElisions += S.SpillElisions;
-    Sum.SpillQueueHits += S.SpillQueueHits;
-    Sum.PrefetchHits += S.PrefetchHits;
-    Sum.PrefetchWasted += S.PrefetchWasted;
-    Sum.RawBytes += S.RawBytes;
-    Sum.CompressedBytes += S.CompressedBytes;
-    Sum.LockWaitNanos += S.LockWaitNanos;
-    Sum.Contentions += S.Contentions;
-    Sum.SpillFailures += S.SpillFailures;
-    Sum.FetchRetries += S.FetchRetries;
-    Sum.Recoveries += S.Recoveries;
-    Sum.PoisonedPools += S.PoisonedPools;
-  }
-  Sum.SymtabCompactions = SymtabCompactions.load(Relaxed);
-  Sum.Shards = NumShards;
-  return Sum;
-}
-
-LoaderStats Loader::shardStats(unsigned Shard) const {
-  assert(Shard < NumShards && "shard index out of range");
-  LoaderStats S = ShardList[Shard]->snapshot();
-  S.Shards = 1;
+  LoaderStats S;
+  S.Acquires = Stats.Acquires.load(Relaxed);
+  S.CacheHits = Stats.CacheHits.load(Relaxed);
+  S.Expansions = Stats.Expansions.load(Relaxed);
+  S.Compactions = Stats.Compactions.load(Relaxed);
+  S.Offloads = Stats.Offloads.load(Relaxed);
+  S.Fetches = Stats.Fetches.load(Relaxed);
+  S.SymtabCompactions = Stats.SymtabCompactions.load(Relaxed);
+  S.SpillElisions = Stats.SpillElisions.load(Relaxed);
+  S.SpillQueueHits = Stats.SpillQueueHits.load(Relaxed);
+  S.CompressedBytes = Repo.bytesStored();
+  S.LockWaitNanos = Stats.LockWaitNanos.load(Relaxed);
+  S.Contentions = Stats.Contentions.load(Relaxed);
+  S.SpillFailures = Stats.SpillFailures.load(Relaxed);
+  S.FetchRetries = Stats.FetchRetries.load(Relaxed);
+  S.Recoveries = Stats.Recoveries.load(Relaxed);
+  S.PoisonedPools = Stats.PoisonedPools.load(Relaxed);
   return S;
 }
 
-Repository &Loader::repository(unsigned Shard) {
-  assert(Shard < NumShards && "shard index out of range");
-  return ShardList[Shard]->repository();
-}
-
 void Loader::setRecoveryHandler(RecoverFn F) {
-  for (auto &Sh : ShardList)
-    Sh->setRecoveryHandler(F);
-}
-
-bool Loader::degraded() const {
-  for (const auto &Sh : ShardList)
-    if (Sh->degraded())
-      return true;
-  return false;
-}
-
-unsigned Loader::degradedShardCount() const {
-  unsigned N = 0;
-  for (const auto &Sh : ShardList)
-    N += Sh->degraded() ? 1 : 0;
-  return N;
+  std::lock_guard<std::mutex> L(M);
+  Recover = std::move(F);
 }
 
 Status Loader::firstError() const {
-  for (const auto &Sh : ShardList) {
-    Status S = Sh->firstError();
-    if (!S.ok())
-      return S;
-  }
-  return Status();
+  std::lock_guard<std::mutex> L(M);
+  return FirstErr;
 }
 
 std::vector<LoaderEvent> Loader::takeEvents() {
-  std::vector<LoaderEvent> All;
-  for (auto &Sh : ShardList) {
-    std::vector<LoaderEvent> E = Sh->takeEvents();
-    All.insert(All.end(), std::make_move_iterator(E.begin()),
-               std::make_move_iterator(E.end()));
-  }
-  return All;
+  std::lock_guard<std::mutex> L(M);
+  return std::move(Events);
 }

@@ -26,76 +26,54 @@
 /// Thresholding (Section 4.3): NAIM functionality turns on in stages tied to
 /// the configured "machine memory" so small compilations pay nothing.
 ///
-/// The spill hot path (the I/O-path overhaul, DESIGN.md §5f):
+/// The spill hot path (DESIGN.md §5f):
 ///
-///  - Records are stored inside a one-byte envelope `[kind][payload]`;
-///    with `--naim-compress=fast` the payload is LZ-compressed
-///    (support/Compress.h) and a failed decompression feeds the same
-///    degradation ladder as a checksum mismatch.
-///  - Offloads are write-behind: the raw compact bytes move onto a bounded
-///    spill queue drained by a dedicated I/O thread, and a fetch of a
-///    record still in flight is served straight from the queue. When the
-///    queue is full the offload falls back to a synchronous store
-///    (backpressure), so memory stays bounded.
+///  - Offloads are write-behind: the compact bytes move onto a bounded spill
+///    queue drained by a dedicated writer thread, and a fetch of a record
+///    still in flight is served straight from the queue. When the queue is
+///    full the offload waits for a free slot (backpressure), so memory stays
+///    bounded and the stores land in one deterministic order.
 ///  - Store elision: a pool whose compact bytes hash-match its most recent
 ///    repository record reuses that record instead of storing a duplicate;
 ///    a pool that was never mutably acquired since it was expanded from its
 ///    record ("clean") is dropped straight back to that record with no
 ///    re-encode and no store at all. Both checks are content-/history-based
 ///    and therefore deterministic.
-///  - Prefetch: the driver hands the loader the acquisition schedule of the
-///    next stage and the I/O thread expands the next K scheduled routines
-///    ahead of the optimizer (`--naim-prefetch=K`).
 ///  - Compaction encode and expansion decode run *outside* the loader mutex
 ///    on per-pool transition states; the mutex keeps guarding metadata, the
 ///    LRU cache and budgets.
 ///
-/// Sharding (the PR-10 overhaul, DESIGN.md §5k): the loader is a facade over
-/// N LoaderShards (`--naim-shards=N`, 0 = one shard per worker). Every
-/// routine belongs to exactly one shard — placement is a stable hash of the
-/// RoutineId, independent of jobs/partitions/schedule — and each shard owns
-/// its own mutex, LRU clock, spill queue, prefetch window, I/O thread and
-/// Repository file, so acquire/release traffic from different workers only
-/// collides when two workers touch routines that genuinely hash together.
-/// The single memory budget is replaced by a BudgetArbiter: shards charge
-/// resident bytes against locally cached leases refilled from one global
-/// atomic balance, and global pressure triggers victim-shard compaction
-/// (largest resident cache first, lowest shard index on ties) instead of a
-/// stop-the-world sweep. Residency decisions stay deterministic per shard;
-/// since placement is schedule-independent and residency never feeds
-/// codegen, executables are byte-identical at every shards x partitions x
-/// jobs combination.
+/// One loader (DESIGN.md §5k): one mutex, one LRU cache threaded through the
+/// routine slots, one spill queue with its writer thread and one Repository
+/// file. Residency never feeds codegen, so executables are byte-identical at
+/// every partitions x jobs combination.
 ///
 /// Failure model: the spill path is fallible by design and the loader never
 /// aborts the process. The degradation ladder, from cheapest to last resort:
 ///
 ///   1. transient store/fetch faults (EINTR/EAGAIN, short transfers) are
 ///      retried inside the Repository and never surface;
-///   2. a failed spill (ENOSPC, EIO) permanently disables offloading for
-///      the affected *shard* — its pools stay compact-resident, its compact
-///      budget is lifted, and a warning event records the slower-but-alive
-///      outcome; the other shards keep offloading to their own healthy
-///      files. Write-behind failures are latched into the event queue and
-///      the in-flight payloads restored to residency; the driver observes
-///      them at its next checkpoint (after drainSpills()).
-///   3. a corrupt fetch (checksum/magic/bounds/decompression mismatch) is
-///      re-read once — transient corruption between disk and memory heals,
-///      bit-rot does not — then falls back to re-expanding the routine from
-///      its source object file when the driver has installed a recovery
-///      handler;
+///   2. a failed spill (ENOSPC, EIO) permanently disables offloading — pools
+///      stay compact-resident, the compact budget is lifted, and a warning
+///      event records the slower-but-alive outcome. Write-behind failures
+///      are latched into the event queue and the in-flight payloads restored
+///      to residency; the driver observes them at its next checkpoint (after
+///      drainSpills()).
+///   3. a corrupt fetch (checksum/magic/bounds mismatch) is re-read once —
+///      transient corruption between disk and memory heals, bit-rot does
+///      not — then falls back to re-expanding the routine from its source
+///      object file when the driver has installed a recovery handler;
 ///   4. an unrecoverable pool is "poisoned": acquire() returns a trivial
 ///      stub body (so in-flight phases finish safely), the first such error
 ///      is latched, and the driver fails the build with a structured
 ///      diagnostic at its next checkpoint — an exit code, not an abort.
 ///
 /// Concurrency: the loader is safe to call from the parallel backend's
-/// worker threads. Each shard's mutex M guards its pool metadata and
-/// transitions; its queue mutex QM guards its spill/prefetch queues (lock
-/// order always M -> QM, and never two shard mutexes at once — cross-shard
-/// victim compaction serializes on the facade's pressure mutex and locks
-/// one shard at a time). The returned RoutineBody references are NOT
-/// guarded — the backend's fan-out gives each routine to exactly one
-/// worker, which is what makes unsynchronized body access safe.
+/// worker threads. Its mutex M guards pool metadata, transitions and the
+/// LRU; the queue mutex QM guards the spill queue (lock order always
+/// M -> QM). The returned RoutineBody references are NOT guarded — the
+/// backend's fan-out gives each routine to exactly one worker, which is what
+/// makes unsynchronized body access safe.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -104,20 +82,20 @@
 
 #include "ir/Program.h"
 #include "naim/Repository.h"
-#include "support/BudgetArbiter.h"
 #include "support/Status.h"
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace scmo {
-
-class LoaderShard;
 
 /// How much NAIM machinery is enabled (the x-axis of paper Figure 5).
 enum class NaimMode : uint8_t {
@@ -128,20 +106,12 @@ enum class NaimMode : uint8_t {
   Auto          ///< Thresholds tied to MachineMemoryBytes enable the stages.
 };
 
-/// Spill-record compression (`--naim-compress`).
-enum class NaimCompress : uint8_t {
-  Off,  ///< Records store the raw compact bytes.
-  Fast  ///< LZ-compressed payloads (support/Compress.h).
-};
-
 /// Loader configuration.
 struct NaimConfig {
   NaimMode Mode = NaimMode::Auto;
 
-  /// Soft cap on expanded-but-unpinned (cache-resident) IR bytes, enforced
-  /// globally across every shard by the BudgetArbiter. When the total
-  /// exceeds it, least-recently-used pools are compacted (victim shard
-  /// first under sharding).
+  /// Soft cap on expanded-but-unpinned (cache-resident) IR bytes. When the
+  /// cache exceeds it, least-recently-used pools are compacted.
   uint64_t ExpandedCacheBytes = 64ull << 20;
 
   /// Cap on in-memory compact bytes; beyond it, compact pools are offloaded
@@ -151,35 +121,18 @@ struct NaimConfig {
   /// For Auto mode: the machine's memory size from which thresholds derive.
   uint64_t MachineMemoryBytes = 512ull << 20;
 
-  /// Repository path ("" = a private anonymous temp file per shard). With
-  /// more than one shard, shard S stores to "<path>.<S>.naim".
+  /// Repository path ("" = a private anonymous temp file).
   std::string RepositoryPath;
 
-  /// Spill-record payload compression.
-  NaimCompress Compress = NaimCompress::Off;
-
-  /// Readahead depth for schedule-driven prefetch (0 = off): the loader
-  /// keeps up to this many upcoming scheduled routines expanding ahead of
-  /// the optimizer.
-  unsigned PrefetchDepth = 0;
-
-  /// Capacity of each shard's write-behind spill queue. A full queue makes
-  /// offloads fall back to synchronous stores (backpressure); 0 disables
-  /// write-behind entirely and every offload stores synchronously.
+  /// Capacity of the write-behind spill queue. An offload that finds the
+  /// queue full waits for the writer to free a slot (backpressure), so every
+  /// store runs on the writer in queue order; 0 disables write-behind
+  /// entirely and every offload stores synchronously.
   unsigned SpillQueueDepth = 8;
 
-  /// Loader shard count (the scmoc --naim-shards knob). 0 = auto: the
-  /// driver resolves it to the worker-pool width before constructing the
-  /// loader; a bare Loader treats 0 as 1 (the monolithic pre-shard
-  /// behavior, which every exact-count test relies on). Placement is a
-  /// stable hash of RoutineId, so the executable is byte-identical at any
-  /// shard count; the knob is resource-only and fingerprint-excluded.
-  unsigned Shards = 0;
-
-  /// Fault injector for the repositories (tests / --fault-inject). When
-  /// null, the loader arms one from SCMO_FAULT_INJECT if that is set, so
-  /// whole test suites can run under injection without code changes. All
-  /// shards share one injector; `site@N` clauses address shard N's file.
+  /// Fault injector for the repository (tests / --fault-inject). When null,
+  /// the loader arms one from SCMO_FAULT_INJECT if that is set, so whole
+  /// test suites can run under injection without code changes.
   std::shared_ptr<FaultInjector> Injector;
 
   /// Derives staged thresholds from MachineMemoryBytes (Auto mode).
@@ -194,35 +147,31 @@ struct NaimConfig {
 };
 
 /// Loader activity counters (reported by the driver's diagnostics). stats()
-/// returns a snapshot of the loader's internal relaxed-atomic counters,
-/// summed over every shard: safe to read while workers are active, exact
-/// once they have joined and the spill queues are drained.
+/// returns a snapshot of the loader's internal relaxed-atomic counters:
+/// safe to read while workers are active, exact once they have joined and
+/// the spill queue is drained.
 struct LoaderStats {
   uint64_t Acquires = 0;
   uint64_t CacheHits = 0;     ///< Acquire found the pool still expanded.
   uint64_t Expansions = 0;    ///< Compact/offloaded -> expanded.
   uint64_t Compactions = 0;   ///< Expanded -> compact.
-  uint64_t Offloads = 0;      ///< Compact -> repository (stored or elided).
+  uint64_t Offloads = 0;      ///< Compact -> repository (stored or elided),
+                              ///< counted once the store has landed.
   uint64_t Fetches = 0;       ///< Repository -> compact (read back).
   uint64_t SymtabCompactions = 0;
 
   // I/O-path activity (DESIGN.md §5f).
   uint64_t SpillElisions = 0;  ///< Offloads that reused an existing record.
   uint64_t SpillQueueHits = 0; ///< Fetches served from the in-flight queue.
-  uint64_t PrefetchHits = 0;   ///< Acquires that found a prefetched body.
-  uint64_t PrefetchWasted = 0; ///< Prefetched bodies evicted unacquired.
-  uint64_t RawBytes = 0;        ///< Uncompressed payload bytes stored.
-  uint64_t CompressedBytes = 0; ///< On-disk payload bytes stored.
+  uint64_t CompressedBytes = 0; ///< Payload bytes stored.
 
-  // Contention telemetry (DESIGN.md §5k): time workers spent blocked on
-  // shard mutexes, sampled try_lock-then-lock on the acquire/release hot
-  // paths. This pair is the before/after axis of the sharding win.
+  // Contention telemetry: time workers spent blocked on the loader mutex,
+  // sampled try_lock-then-lock on the acquire/release hot paths.
   uint64_t LockWaitNanos = 0; ///< Nanoseconds spent in contended locks.
   uint64_t Contentions = 0;   ///< Hot-path lock attempts that had to wait.
-  uint64_t Shards = 0;        ///< Shard count the counters are summed over.
 
   // Fault-path activity (all zero on a healthy disk).
-  uint64_t SpillFailures = 0; ///< Failed offload stores (degraded shards).
+  uint64_t SpillFailures = 0; ///< Failed offload stores (degraded loader).
   uint64_t FetchRetries = 0;  ///< Corrupt fetches re-read.
   uint64_t Recoveries = 0;    ///< Pools rebuilt from their object file.
   uint64_t PoisonedPools = 0; ///< Unrecoverable pools replaced by stubs.
@@ -233,8 +182,7 @@ struct LoaderStats {
 /// poisoned pool).
 struct LoaderEvent {
   enum class Kind : uint8_t {
-    SpillDegraded, ///< Offloading disabled for a shard; its pools stay
-                   ///< resident.
+    SpillDegraded, ///< Offloading disabled; pools stay resident.
     FetchRetried,  ///< A corrupt fetch healed on immediate re-read.
     Recovered,     ///< A corrupt pool was re-expanded from its object file.
     PoolPoisoned,  ///< Unrecoverable; the build must fail structurally.
@@ -244,10 +192,7 @@ struct LoaderEvent {
   std::string Detail;
 };
 
-/// Manages residency for every transitory pool in a Program. A facade over
-/// NaimConfig::Shards independent LoaderShards; the public surface is
-/// unchanged from the monolithic loader, and with one shard the behavior is
-/// bit-for-bit the monolith's.
+/// Manages residency for every transitory pool in a Program.
 class Loader {
 public:
   /// Re-materializes the compact/expanded body of a routine from outside
@@ -257,7 +202,7 @@ public:
 
   Loader(Program &P, const NaimConfig &Config);
 
-  /// Joins every shard's I/O thread after draining outstanding spills.
+  /// Joins the writer thread after draining outstanding spills.
   ~Loader();
 
   /// Pins and returns the expanded body of \p R (must be defined). A pinned
@@ -278,9 +223,8 @@ public:
   const RoutineBody *acquireReadIfDefined(RoutineId R);
 
   /// Drops one pin from \p R. When the last pin drops, the pool becomes
-  /// unload-pending and joins its shard's cache; the shard then settles its
-  /// lease with the arbiter (lazily compacting / offloading LRU pools, with
-  /// cross-shard victim compaction under global pressure).
+  /// unload-pending and joins the LRU cache; the loader then lazily
+  /// compacts / offloads LRU pools if the budgets call for it.
   void release(RoutineId R);
 
   /// Releases every pinned routine (phase boundaries).
@@ -304,91 +248,47 @@ public:
   /// Compacts module symbol tables if the mode/thresholds call for it.
   void maybeCompactSymtabs();
 
-  /// Blocks until every queued write-behind spill (on every shard) has been
-  /// stored (or has failed and been restored to residency). The driver
-  /// calls this at its checkpoints so writer errors latch before
-  /// stats/events are read; tests call it before exact-count assertions.
+  /// Blocks until every queued write-behind spill has been stored (or has
+  /// failed and been restored to residency). The driver calls this at its
+  /// checkpoints so writer errors latch before stats/events are read; tests
+  /// call it before exact-count assertions.
   void drainSpills();
 
-  /// Blocks until every shard's prefetch queue is idle (deterministic
-  /// tests).
-  void drainPrefetches();
-
-  /// Hands the loader the acquisition order of the upcoming stage; with
-  /// PrefetchDepth > 0 each shard's I/O thread keeps the next K routines of
-  /// its slice of the schedule (relative order preserved) expanding ahead
-  /// of the optimizer. Replaces any previous schedule.
-  void setAcquisitionSchedule(std::vector<RoutineId> Order);
-
-  /// Drops the schedule and any queued readahead (end of stage).
-  void clearAcquisitionSchedule();
-
-  /// Bytes of expanded IR currently sitting unpinned in the caches (summed
-  /// over shards).
+  /// Bytes of expanded IR currently sitting unpinned in the cache.
   uint64_t cacheBytes() const;
 
   /// Number of unpinned expanded pools resident (paper: "cache fullness is
   /// based on the number of expanded pools resident in memory").
   size_t cachedPoolCount() const;
 
-  /// Activity counters, summed over every shard. Returns a snapshot: safe
-  /// to call while workers are active, exact once they have joined and
-  /// drainSpills() has run.
+  /// Activity counters. Returns a snapshot: safe to call while workers are
+  /// active, exact once they have joined and drainSpills() has run.
   LoaderStats stats() const;
-
-  /// One shard's counters (tests, the per-shard --stats breakdown).
-  LoaderStats shardStats(unsigned Shard) const;
 
   const NaimConfig &config() const { return Config; }
 
-  /// The number of shards (>= 1).
-  unsigned shardCount() const { return NumShards; }
-
-  /// The shard owning \p R: a stable hash of the id alone, so placement is
-  /// identical at every jobs x partitions combination.
-  unsigned shardOf(RoutineId R) const {
-    // splitmix64: id bits are sequential, and a weak mix would put every
-    // routine of a module on one shard.
-    uint64_t X = uint64_t(R) + 0x9e3779b97f4a7c15ull;
-    X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
-    X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
-    X ^= X >> 31;
-    return static_cast<unsigned>(X % NumShards);
-  }
-
-  /// Shard \p Shard's repository file.
-  Repository &repository(unsigned Shard = 0);
-
-  /// The global budget arbiter (tests, diagnostics).
-  const BudgetArbiter &arbiter() const { return Arbiter; }
+  /// The repository file backing offloaded pools.
+  Repository &repository() { return Repo; }
 
   /// The session's effective fault injector (Config.Injector or the one
   /// armed from SCMO_FAULT_INJECT at construction; may be null). Every
-  /// durable-I/O path in the session — and every shard repository — reuses
-  /// this instance so per-site op counters stay deterministic across the
-  /// whole build.
+  /// durable-I/O path in the session reuses this instance so per-site op
+  /// counters stay deterministic across the whole build.
   std::shared_ptr<FaultInjector> faultInjector() { return Faults; }
 
-  /// Installs the corruption fallback (degradation rung 3) on every shard.
-  /// The handler is invoked under a shard mutex and must not call back into
-  /// the loader.
+  /// Installs the corruption fallback (degradation rung 3). The handler is
+  /// invoked under the loader mutex and must not call back into the loader.
   void setRecoveryHandler(RecoverFn F);
 
-  /// True once a spill failure has switched any shard to resident mode.
-  bool degraded() const;
-
-  /// How many shards have degraded to resident mode (0 = fully healthy).
-  /// One failing repository file degrades only its own shard.
-  unsigned degradedShardCount() const;
+  /// True once a spill failure has switched the loader to resident mode.
+  bool degraded() const { return SpillDisabled.load(std::memory_order_relaxed); }
 
   /// The first unrecoverable spill-path error (Ok while the loader is
-  /// healthy), scanned in shard order. Once set, some acquired bodies are
-  /// stubs: the compilation's results are invalid and the driver must fail
-  /// the build with this.
+  /// healthy). Once set, some acquired bodies are stubs: the compilation's
+  /// results are invalid and the driver must fail the build with this.
   Status firstError() const;
 
-  /// Drains the accumulated fault-path events (per shard oldest first, in
-  /// shard order).
+  /// Drains the accumulated fault-path events (oldest first).
   std::vector<LoaderEvent> takeEvents();
 
   /// True if the effective mode compacts IR at all.
@@ -399,31 +299,109 @@ public:
   bool offloadEnabled() const;
 
 private:
-  friend class LoaderShard;
+  /// Counter block. Relaxed atomics: the counters are statistics, not
+  /// synchronization, and the workers must not serialize on them.
+  struct AtomicStats {
+    std::atomic<uint64_t> Acquires{0};
+    std::atomic<uint64_t> CacheHits{0};
+    std::atomic<uint64_t> Expansions{0};
+    std::atomic<uint64_t> Compactions{0};
+    std::atomic<uint64_t> Offloads{0};
+    std::atomic<uint64_t> Fetches{0};
+    std::atomic<uint64_t> SymtabCompactions{0};
+    std::atomic<uint64_t> SpillElisions{0};
+    std::atomic<uint64_t> SpillQueueHits{0};
+    std::atomic<uint64_t> LockWaitNanos{0};
+    std::atomic<uint64_t> Contentions{0};
+    std::atomic<uint64_t> SpillFailures{0};
+    std::atomic<uint64_t> FetchRetries{0};
+    std::atomic<uint64_t> Recoveries{0};
+    std::atomic<uint64_t> PoisonedPools{0};
+  };
 
-  /// Cross-shard victim compaction (DESIGN.md §5k). Called by a shard that
-  /// could not cover its resident bytes from the arbiter, with NO shard
-  /// mutex held. Single-flight under PressureM; repeatedly settles every
-  /// shard and, while any remains uncovered, compacts one LRU pool of the
-  /// shard with the largest resident cache (lowest index on ties),
-  /// crediting the freed charge to the global balance. Stops when every
-  /// shard is covered or nothing evictable remains.
-  void relievePressure();
+  struct SpillEntry {
+    RoutineId R = InvalidId;
+    uint64_t Ticket = 0;
+    std::vector<uint8_t> Bytes;
+    uint64_t Hash = 0;
+    /// Clean drops onto this still-pending record; like the store itself,
+    /// they count as offloads only once it lands.
+    uint64_t Drops = 0;
+  };
+
+  /// Locks M, sampling contention: a failed try_lock counts once and the
+  /// blocked wait is timed. Used on the acquire/release hot paths only.
+  std::unique_lock<std::mutex> lockM();
+
+  RoutineBody &acquireImpl(RoutineId R, bool Mutable);
+
+  /// Unpins \p R's last pin: summarizes it if needed and appends it to the
+  /// LRU tail as unload-pending.
+  void parkLocked(RoutineId R);
+  /// Removes \p R from the LRU list.
+  void unlinkLocked(RoutineId R);
+
+  void enforceBudgetLocked(std::unique_lock<std::mutex> &L, bool Everything);
+  void evictOneLocked(std::unique_lock<std::mutex> &L);
+  void offloadOverBudgetLocked(std::unique_lock<std::mutex> &L);
+
+  void compactPool(RoutineId R, std::unique_lock<std::mutex> &L);
+  void offloadPool(RoutineId R, std::unique_lock<std::mutex> &L);
+  void storeSyncLocked(RoutineId R, std::vector<uint8_t> Bytes, uint64_t Hash);
+  /// Installs \p Bytes (hash \p Hash) as the pool's compact residency.
+  void restoreCompactLocked(RoutineId R, std::vector<uint8_t> Bytes,
+                            uint64_t Hash);
+  void degradeSpillsLocked(RoutineId R, const Status &Cause);
+  Status expandPool(RoutineId R, std::unique_lock<std::mutex> &L);
+  Status fetchRecord(uint64_t Offset, uint64_t Size,
+                     std::vector<uint8_t> &Bytes, std::string &RetryDetail);
+  Status recoverPoolLocked(RoutineId R, Status Cause);
+  void installBodyLocked(RoutineId R, std::unique_ptr<RoutineBody> Body);
+  void poisonPoolLocked(RoutineId R, Status Cause);
+
+  void writerMain();
 
   Program &P;
   NaimConfig Config;
-  unsigned NumShards;
   std::shared_ptr<FaultInjector> Faults;
-  BudgetArbiter Arbiter;
-  std::vector<std::unique_ptr<LoaderShard>> ShardList;
+  Repository Repo;
 
-  /// Single-flights relievePressure. Lock order: PressureM -> one shard M
-  /// at a time; a shard requesting relief must have dropped its own mutex.
-  std::mutex PressureM;
+  AtomicStats Stats;
 
-  /// Symtabs are program-wide, not per-routine, so they stay facade state.
+  /// Guards pool metadata, the LRU cache and fault state. Lock order:
+  /// M -> QM.
+  mutable std::mutex M;
+  std::condition_variable TransitionCv;
+  /// The writer freed a spill-queue slot (waited on with M).
+  std::condition_variable SpaceCv;
+
+  /// Unpinned expanded pools in release order, threaded through
+  /// RoutineSlot::LruPrev/LruNext: releases append at the tail, eviction
+  /// takes the head.
+  RoutineId LruHead = InvalidId;
+  RoutineId LruTail = InvalidId;
+  size_t CachedPools = 0;
+  /// Sum of irBytes over the LRU list.
+  uint64_t CachedBytes = 0;
+
+  std::atomic<bool> SpillDisabled{false};
+  std::vector<LoaderEvent> Events;
+  Status FirstErr;
+  RecoverFn Recover;
+
+  /// Guards the spill queue (lock order M -> QM). Every push and pop also
+  /// holds M, so its size may be read under M alone.
+  std::mutex QM;
+  std::condition_variable QWorkCv; ///< Work arrived (writer waits).
+  std::condition_variable QIdleCv; ///< Queue drained (drainSpills waits).
+  std::deque<std::shared_ptr<SpillEntry>> SpillQ;
+  bool SpillBusy = false;
+  bool StopWriter = false;
+  uint64_t NextTicket = 0;
+  std::thread Writer;
+
+  /// Serializes symbol-table compaction (program-wide, not per-routine).
   std::mutex SymtabM;
-  std::atomic<uint64_t> SymtabCompactions{0};
 };
 
 } // namespace scmo

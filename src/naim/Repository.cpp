@@ -41,9 +41,8 @@ void encodeHeader(uint8_t *H, uint32_t Size, uint64_t Checksum) {
 
 } // namespace
 
-Repository::Repository(std::string Path, std::shared_ptr<FaultInjector> FI,
-                       unsigned Shard)
-    : FilePath(std::move(Path)), Faults(std::move(FI)), Shard(int(Shard)),
+Repository::Repository(std::string Path, std::shared_ptr<FaultInjector> FI)
+    : FilePath(std::move(Path)), Faults(std::move(FI)),
       UserPath(!FilePath.empty()) {}
 
 Repository::~Repository() {
@@ -62,7 +61,7 @@ Status Repository::ensureOpenLocked() {
   if (FilePath.empty()) {
     // Anonymous scratch: the backing file never gets a name, so a builder
     // SIGKILLed mid-build (the torture harness, a forked worker, a CI
-    // timeout) cannot leave shard files littering /tmp.
+    // timeout) cannot leave spill files littering /tmp.
 #ifdef O_TMPFILE
     Fd = ::open("/tmp", O_TMPFILE | O_RDWR, 0600);
     if (Fd >= 0)
@@ -215,8 +214,7 @@ Status Repository::readAll(int File, uint8_t *Data, size_t Size,
   return Status();
 }
 
-Expected<uint64_t> Repository::store(const std::vector<uint8_t> &Bytes,
-                                     uint64_t RawSize) {
+Expected<uint64_t> Repository::store(const std::vector<uint8_t> &Bytes) {
   std::lock_guard<std::mutex> Lock(M);
   if (Bytes.size() > MaxRecordBytes)
     return Status::error(StatusCode::IoError,
@@ -228,7 +226,7 @@ Expected<uint64_t> Repository::store(const std::vector<uint8_t> &Bytes,
 
   FaultInjector::Action Action = FaultInjector::Action::None;
   if (Faults)
-    Action = Faults->next(FaultInjector::Site::Store, Shard);
+    Action = Faults->next(FaultInjector::Site::Store);
 
   // The checksum always covers the payload the caller handed us; a
   // store-side injected corruption therefore lands on disk checksummed
@@ -257,7 +255,6 @@ Expected<uint64_t> Repository::store(const std::vector<uint8_t> &Bytes,
 
   AppendOffset += FrameHeaderBytes + Bytes.size();
   BytesStored += Bytes.size();
-  RawBytesStored += RawSize ? RawSize : Bytes.size();
   ++Stores;
   return Offset;
 }
@@ -296,7 +293,7 @@ Status Repository::fetch(uint64_t Offset, uint64_t Size,
 
   FaultInjector::Action Action = FaultInjector::Action::None;
   if (FI)
-    Action = FI->next(FaultInjector::Site::Read, Shard);
+    Action = FI->next(FaultInjector::Site::Read);
 
   uint8_t Header[FrameHeaderBytes];
   Status S = readAll(File, Header, FrameHeaderBytes, Offset, Action);

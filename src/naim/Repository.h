@@ -67,12 +67,9 @@ public:
   /// storage never has a name a SIGKILLed builder could leak, and path()
   /// stays "". A caller-supplied path that already exists is NOT clobbered:
   /// the first store fails with StatusCode::Exists. \p Faults, when
-  /// non-null, is consulted on every store/fetch; \p Shard is the owning
-  /// loader shard's index, matched by shard-addressed fault clauses
-  /// ('store@2:...').
+  /// non-null, is consulted on every store/fetch.
   explicit Repository(std::string Path = "",
-                      std::shared_ptr<FaultInjector> Faults = nullptr,
-                      unsigned Shard = 0);
+                      std::shared_ptr<FaultInjector> Faults = nullptr);
 
   Repository(const Repository &) = delete;
   Repository &operator=(const Repository &) = delete;
@@ -83,11 +80,7 @@ public:
   /// Status describing the failure (NoSpace / IoError / Exists). On failure
   /// the append watermark does not advance: a partially written frame is
   /// simply overwritten by the next store, so torn frames are never visible.
-  /// \p RawSize is the record's uncompressed payload size for the
-  /// raw-vs-stored accounting (0 means "not compressed": Bytes.size() is
-  /// counted).
-  Expected<uint64_t> store(const std::vector<uint8_t> &Bytes,
-                           uint64_t RawSize = 0);
+  Expected<uint64_t> store(const std::vector<uint8_t> &Bytes);
 
   /// Reads back the \p Size payload bytes of the record at \p Offset into
   /// \p Out. Validates bounds against the append watermark before
@@ -117,14 +110,6 @@ public:
     return BytesStored;
   }
 
-  /// Total *uncompressed* payload bytes behind the stored records: equal to
-  /// bytesStored() with compression off, larger with it on. The
-  /// bytesStored()/rawBytesStored() ratio is the fig5 compression axis.
-  uint64_t rawBytesStored() const {
-    std::lock_guard<std::mutex> Lock(M);
-    return RawBytesStored;
-  }
-
   /// Number of store / fetch operations (for the NAIM statistics).
   uint64_t storeCount() const {
     std::lock_guard<std::mutex> Lock(M);
@@ -141,9 +126,6 @@ public:
   /// lazily created repository's file is unlinked from birth and has no
   /// path to return).
   const std::string &path() const { return FilePath; }
-
-  /// The owning loader shard's index (0 for an unsharded repository).
-  unsigned shard() const { return unsigned(Shard); }
 
 private:
   Status ensureOpenLocked();
@@ -162,14 +144,12 @@ private:
   mutable std::mutex M;
   std::string FilePath;
   std::shared_ptr<FaultInjector> Faults;
-  int Shard = 0;
   int Fd = -1;
   /// True when the path came from the caller: such a file must not be
   /// silently truncated if it already exists.
   bool UserPath = false;
   uint64_t AppendOffset = 0;
   uint64_t BytesStored = 0;
-  uint64_t RawBytesStored = 0;
   uint64_t Stores = 0;
   /// Bumped from unlocked fetches; relaxed atomics keep them exact.
   std::atomic<uint64_t> Fetches{0};

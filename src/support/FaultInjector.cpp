@@ -131,23 +131,7 @@ std::shared_ptr<FaultInjector> FaultInjector::fromSpec(const std::string &Spec,
           return nullptr;
         }
         FaultInjector::Clause C;
-        std::string SiteTok = Key.substr(0, Colon);
-        // Optional shard address: 'store@2' scopes the clause to loader
-        // shard 2's repository. Strictly digits — a typo'd address silently
-        // matching nothing would defeat the injection sweep.
-        size_t At = SiteTok.find('@');
-        if (At != std::string::npos) {
-          std::string ShardTok = SiteTok.substr(At + 1);
-          SiteTok.resize(At);
-          if (ShardTok.empty() || ShardTok.size() > 9 ||
-              ShardTok.find_first_not_of("0123456789") != std::string::npos) {
-            Error = "bad shard index in '" + Clause +
-                    "' (site@N, N a non-negative integer)";
-            return nullptr;
-          }
-          C.Shard = int(std::strtoul(ShardTok.c_str(), nullptr, 10));
-        }
-        const SiteInfo *SI = findSite(SiteTok);
+        const SiteInfo *SI = findSite(Key.substr(0, Colon));
         if (!SI) {
           Error = "unknown fault site in '" + Clause + "' (" + validSites() +
                   ")";
@@ -216,22 +200,13 @@ std::shared_ptr<FaultInjector> FaultInjector::fromEnv() {
   return FI;
 }
 
-FaultInjector::Action FaultInjector::next(Site S, int Shard) {
+FaultInjector::Action FaultInjector::next(Site S) {
   std::lock_guard<std::mutex> Lock(M);
-  uint64_t &OpsAt = Ops[size_t(S)];
-  ++OpsAt;
-  uint64_t ShardOpsAt = 0;
-  if (Shard >= 0)
-    ShardOpsAt = ++ShardOps[{uint8_t(S), Shard}];
+  uint64_t OpsAt = ++Ops[size_t(S)];
   for (const Clause &C : Clauses) {
     if (C.S != S)
       continue;
-    if (C.Shard >= 0 && C.Shard != Shard)
-      continue;
-    // A shard-addressed clause counts that shard's ops alone, so its nth is
-    // deterministic no matter how the other shards' traffic interleaves.
-    uint64_t Count = C.Shard >= 0 ? ShardOpsAt : OpsAt;
-    bool Fires = C.Nth ? Count == C.Nth : Rng.nextBool(C.Rate);
+    bool Fires = C.Nth ? OpsAt == C.Nth : Rng.nextBool(C.Rate);
     if (Fires) {
       ++Injected;
       return C.A;

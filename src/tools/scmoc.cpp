@@ -17,13 +17,6 @@
 ///     --select <percent>     coarse selectivity percentage (with +O4 +P)
 ///     --multi-layered        Section 8 tiered optimization
 ///     --machine-mem <MiB>    NAIM thresholds for this much memory
-///     --naim-shards <N>      loader shard count (0 = one per worker, the
-///                            default; max 1024). Each shard owns its own
-///                            mutex, LRU cache, spill queue and repository
-///                            file; placement is a stable hash of the
-///                            routine id, so the executable is
-///                            byte-identical at any shards x partitions x
-///                            jobs combination
 ///     --jobs <N>             backend worker threads (0 = all cores, 1 =
 ///                            serial); output is identical at any width
 ///     --hlo-partitions <N>   LTRANS partition count for the parallel HLO
@@ -99,8 +92,6 @@ int usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s [+O1|+O2|+O4] [+P] [+I] [--profile F] "
                "[--select PCT] [--multi-layered] [--machine-mem MIB] "
-               "[--naim-compress off|fast] [--naim-prefetch K] "
-               "[--naim-shards N] "
                "[--jobs N] [--hlo-partitions N] [--run] [--emit-il R] "
                "[--disasm R] [--stats] [--stats-format text|json] "
                "[--dump-dot PREFIX] "
@@ -195,13 +186,6 @@ int main(int argc, char **argv) {
   bool CacheGc = false;
   uint64_t CacheMaxBytes = cachedir::NoBudget;
   std::vector<CheckCode> AnalyzeFilter;
-  // I/O-path knobs are collected here and applied after the loop:
-  // --machine-mem replaces Opts.Naim wholesale, so applying them in flag
-  // order would make the outcome depend on flag position.
-  NaimCompress Compress = NaimCompress::Off;
-  unsigned PrefetchDepth = 0;
-  unsigned NaimShards = 0;
-  bool SawCompress = false, SawPrefetch = false, SawShards = false;
 
   for (int A = 1; A < argc; ++A) {
     std::string Arg = argv[A];
@@ -244,30 +228,7 @@ int main(int argc, char **argv) {
     else if (Arg == "--machine-mem")
       Opts.Naim = NaimConfig::autoFor(
           parseCount("--machine-mem", takeValue("--machine-mem"), 1) << 20);
-    else if (Arg == "--naim-compress") {
-      std::string Mode = takeValue("--naim-compress");
-      if (Mode == "off")
-        Compress = NaimCompress::Off;
-      else if (Mode == "fast")
-        Compress = NaimCompress::Fast;
-      else
-        optionError("--naim-compress",
-                    "expected 'off' or 'fast', got '" + Mode + "'");
-      SawCompress = true;
-    } else if (Arg == "--naim-prefetch") {
-      PrefetchDepth = static_cast<unsigned>(
-          parseCount("--naim-prefetch", takeValue("--naim-prefetch"), 0));
-      SawPrefetch = true;
-    } else if (Arg == "--naim-shards") {
-      uint64_t N = parseCount("--naim-shards", takeValue("--naim-shards"), 0);
-      if (N > 1024)
-        optionError("--naim-shards",
-                    "must be at most 1024 (got " + std::to_string(N) +
-                        "); shards beyond the worker count only add "
-                        "per-shard overhead");
-      NaimShards = static_cast<unsigned>(N);
-      SawShards = true;
-    } else if (Arg == "--jobs")
+    else if (Arg == "--jobs")
       Opts.Jobs = static_cast<unsigned>(
           parseCount("--jobs", takeValue("--jobs"), 0));
     else if (Arg == "--hlo-partitions") {
@@ -364,12 +325,6 @@ int main(int argc, char **argv) {
     if (HasInline && !TookValue)
       optionError(Arg, "does not take a value");
   }
-  if (SawCompress)
-    Opts.Naim.Compress = Compress;
-  if (SawPrefetch)
-    Opts.Naim.PrefetchDepth = PrefetchDepth;
-  if (SawShards)
-    Opts.Naim.Shards = NaimShards;
   if (Opts.Incremental && Opts.CacheDir.empty())
     optionError("--incremental", "needs --cache-dir <dir>");
   if (CacheMaxBytes != cachedir::NoBudget && !CacheGc)

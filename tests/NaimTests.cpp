@@ -16,7 +16,6 @@
 #include "bytecode/ObjectFile.h"
 #include "naim/Loader.h"
 #include "naim/Repository.h"
-#include "support/Compress.h"
 #include "support/Prng.h"
 
 #include <gtest/gtest.h>
@@ -59,7 +58,7 @@ TEST(Repository, FetchBeforeAnyStoreFails) {
 TEST(Repository, AnonymousBackingStorageHasNoName) {
   // Anonymous repositories never expose a path: the backing file is
   // O_TMPFILE (or created-and-unlinked where that is unsupported), so a
-  // builder SIGKILLed mid-build cannot leave shard files littering /tmp.
+  // builder SIGKILLed mid-build cannot leave spill files littering /tmp.
   Repository Repo;
   std::vector<uint8_t> Payload = {1, 2, 3};
   uint64_t Off = *Repo.store(Payload);
@@ -161,6 +160,39 @@ TEST(Loader, TightBudgetCompactsLruFirst) {
   EXPECT_EQ(L.stats().Expansions, 1u);
 }
 
+TEST(Loader, EvictionFollowsReleaseOrder) {
+  // The LRU is release order: a cache hit leaves the list and its next
+  // release appends it at the tail, so the oldest untouched release is the
+  // first victim.
+  LoaderFixture F(4);
+  std::vector<uint64_t> Size;
+  for (RoutineId R : F.Routines)
+    Size.push_back(F.P.routine(R).Slot.Body->irBytes());
+  NaimConfig C;
+  C.Mode = NaimMode::CompactIr;
+  C.ExpandedCacheBytes = Size[0] + Size[1] + Size[2]; // r0..r2 fit exactly.
+  Loader L(F.P, C);
+  for (unsigned I = 0; I != 3; ++I) {
+    L.acquire(F.Routines[I]);
+    L.release(F.Routines[I]);
+  }
+  L.acquire(F.Routines[0]); // Cache hit: r0 leaves the list...
+  EXPECT_EQ(L.cachedPoolCount(), 2u);
+  L.release(F.Routines[0]); // ...and rejoins it as the newest release.
+  EXPECT_EQ(L.cachedPoolCount(), 3u);
+  EXPECT_EQ(L.stats().Compactions, 0u);
+  // Releasing r3 overflows the cache: the head, r1, goes first; r0, the
+  // newest release, survives.
+  ASSERT_LE(Size[3], Size[1] + Size[2]);
+  L.acquire(F.Routines[3]);
+  L.release(F.Routines[3]);
+  EXPECT_GE(L.stats().Compactions, 1u);
+  EXPECT_EQ(F.P.routine(F.Routines[1]).Slot.State, PoolState::Compact);
+  EXPECT_EQ(F.P.routine(F.Routines[0]).Slot.State, PoolState::Expanded);
+  EXPECT_EQ(F.P.routine(F.Routines[3]).Slot.State, PoolState::Expanded);
+  EXPECT_LE(L.cacheBytes(), C.ExpandedCacheBytes);
+}
+
 TEST(Loader, CacheHitAvoidsExpansionWork) {
   LoaderFixture F(4);
   NaimConfig C;
@@ -202,6 +234,8 @@ TEST(Loader, OffloadRoundTripsThroughRepository) {
     L.acquire(R);
     L.release(R);
   }
+  // An offload counts once its store lands: join the write-behind queue.
+  L.drainSpills();
   EXPECT_GT(L.stats().Offloads, 0u);
   for (RoutineId R : F.Routines)
     EXPECT_EQ(F.P.routine(R).Slot.State, PoolState::Offloaded);
@@ -307,6 +341,7 @@ TEST(FaultInjector, RejectsMalformedSpecs) {
   EXPECT_FALSE(FaultInjector::fromSpec("store:flip-nth=1", Error));
   EXPECT_FALSE(FaultInjector::fromSpec("store:fail-nth=0", Error));
   EXPECT_FALSE(FaultInjector::fromSpec("store:fail-rate=2.0", Error));
+  EXPECT_FALSE(FaultInjector::fromSpec("store@2:fail-nth=1", Error));
   EXPECT_TRUE(FaultInjector::fromSpec(
       "seed=7,store:fail-nth=3,read:flip-rate=0.25", Error))
       << Error;
@@ -315,51 +350,18 @@ TEST(FaultInjector, RejectsMalformedSpecs) {
   EXPECT_TRUE(Error.empty());
 }
 
-TEST(FaultInjector, RejectsMalformedShardAddresses) {
-  std::string Error;
-  EXPECT_FALSE(FaultInjector::fromSpec("store@:fail-nth=1", Error));
-  EXPECT_FALSE(Error.empty());
-  EXPECT_FALSE(FaultInjector::fromSpec("store@x:fail-nth=1", Error));
-  EXPECT_FALSE(FaultInjector::fromSpec("store@-1:fail-nth=1", Error));
-  EXPECT_FALSE(FaultInjector::fromSpec("store@1@2:fail-nth=1", Error));
-  EXPECT_FALSE(FaultInjector::fromSpec("store@9999999999:fail-nth=1", Error));
-  EXPECT_TRUE(FaultInjector::fromSpec("store@2:fail-nth=3", Error)) << Error;
-  EXPECT_TRUE(
-      FaultInjector::fromSpec("store@0:enospc-nth=1,read@7:flip-rate=0.5",
-                              Error))
-      << Error;
-}
-
-TEST(FaultInjector, ShardAddressedClausesCountPerShard) {
-  std::string Error;
-  auto FI = FaultInjector::fromSpec("store@2:fail-nth=2", Error);
-  ASSERT_TRUE(FI) << Error;
-  // Ops on other shards never advance shard 2's counter.
-  EXPECT_EQ(FI->next(FaultInjector::Site::Store, 0),
-            FaultInjector::Action::None);
-  EXPECT_EQ(FI->next(FaultInjector::Site::Store, 1),
-            FaultInjector::Action::None);
-  EXPECT_EQ(FI->next(FaultInjector::Site::Store, 2),
-            FaultInjector::Action::None); // Shard 2's op #1.
-  EXPECT_EQ(FI->next(FaultInjector::Site::Store, 3),
-            FaultInjector::Action::None);
-  EXPECT_EQ(FI->next(FaultInjector::Site::Store, 2),
-            FaultInjector::Action::FailIo); // Shard 2's op #2 fires.
-  EXPECT_EQ(FI->next(FaultInjector::Site::Store, 2),
-            FaultInjector::Action::None); // nth fires exactly once.
-}
-
-TEST(FaultInjector, UnaddressedClausesKeepTheGlobalCounter) {
+TEST(FaultInjector, NthClausesCountPerSite) {
   std::string Error;
   auto FI = FaultInjector::fromSpec("store:fail-nth=3", Error);
   ASSERT_TRUE(FI) << Error;
-  // The global site counter advances regardless of which shard operates.
-  EXPECT_EQ(FI->next(FaultInjector::Site::Store, 0),
-            FaultInjector::Action::None);
-  EXPECT_EQ(FI->next(FaultInjector::Site::Store, 5),
-            FaultInjector::Action::None);
-  EXPECT_EQ(FI->next(FaultInjector::Site::Store, 1),
+  // Ops at other sites never advance the store counter.
+  EXPECT_EQ(FI->next(FaultInjector::Site::Store), FaultInjector::Action::None);
+  EXPECT_EQ(FI->next(FaultInjector::Site::Read), FaultInjector::Action::None);
+  EXPECT_EQ(FI->next(FaultInjector::Site::Store), FaultInjector::Action::None);
+  EXPECT_EQ(FI->next(FaultInjector::Site::Store),
             FaultInjector::Action::FailIo);
+  // nth fires exactly once.
+  EXPECT_EQ(FI->next(FaultInjector::Site::Store), FaultInjector::Action::None);
 }
 
 TEST(Repository, ChecksumDetectsOnDiskBitRot) {
@@ -561,142 +563,8 @@ TEST(Loader, PersistentCorruptionRecoversThroughHandler) {
 }
 
 //===----------------------------------------------------------------------===//
-// The spill I/O path: compression, write-behind, elision, prefetch
+// The spill I/O path: write-behind and store elision
 //===----------------------------------------------------------------------===//
-
-TEST(Compress, RoundTripsRepetitiveData) {
-  std::vector<uint8_t> In;
-  for (unsigned I = 0; I != 4096; ++I)
-    In.push_back(uint8_t("abcdabcdabcd0123"[I % 16]));
-  std::vector<uint8_t> Z = lzCompress(In);
-  EXPECT_LT(Z.size(), In.size() / 4); // Highly repetitive: a big win.
-  std::vector<uint8_t> Out;
-  ASSERT_TRUE(lzDecompress(Z, Out, In.size()));
-  EXPECT_EQ(Out, In);
-}
-
-TEST(Compress, RoundTripsRleAndShortInputs) {
-  // All-same-byte inputs exercise the overlapping-copy (distance 1) case;
-  // the short sizes sit around the MinMatch boundary.
-  for (size_t N : {size_t(0), size_t(1), size_t(3), size_t(4), size_t(5),
-                   size_t(1000)}) {
-    std::vector<uint8_t> In(N, 0x7f);
-    std::vector<uint8_t> Z = lzCompress(In);
-    std::vector<uint8_t> Out(3, 99); // Stale content must be replaced.
-    ASSERT_TRUE(lzDecompress(Z, Out, N)) << "N=" << N;
-    EXPECT_EQ(Out, In) << "N=" << N;
-  }
-}
-
-TEST(Compress, RoundTripsIncompressibleData) {
-  Prng Rng(99);
-  std::vector<uint8_t> In;
-  for (unsigned I = 0; I != 2048; ++I)
-    In.push_back(uint8_t(Rng.nextBelow(256)));
-  std::vector<uint8_t> Z = lzCompress(In);
-  std::vector<uint8_t> Out;
-  ASSERT_TRUE(lzDecompress(Z, Out, In.size()));
-  EXPECT_EQ(Out, In); // Correct even when compression does not pay.
-}
-
-TEST(Compress, RejectsMalformedStreams) {
-  std::vector<uint8_t> In;
-  for (unsigned I = 0; I != 512; ++I)
-    In.push_back(uint8_t(I % 32));
-  std::vector<uint8_t> Z = lzCompress(In);
-  std::vector<uint8_t> Out;
-  ASSERT_TRUE(lzDecompress(Z, Out, In.size()));
-  ASSERT_EQ(Out, In);
-  // Every byte is needed to reach the declared raw size, so every proper
-  // prefix must fail cleanly (never crash, never fabricate output).
-  for (size_t Cut = 0; Cut < Z.size(); ++Cut)
-    EXPECT_FALSE(lzDecompress(Z.data(), Cut, Out, In.size())) << Cut;
-  // Trailing garbage is corruption, not ignored.
-  std::vector<uint8_t> Padded = Z;
-  Padded.push_back(0);
-  EXPECT_FALSE(lzDecompress(Padded, Out, In.size()));
-  // A declared raw size beyond the cap is rejected before any allocation.
-  EXPECT_FALSE(lzDecompress(Z, Out, In.size() - 1));
-}
-
-TEST(Loader, CompressedOffloadRoundTrip) {
-  LoaderFixture F(6);
-  NaimConfig C;
-  C.Mode = NaimMode::Offload;
-  C.ExpandedCacheBytes = 0;
-  C.CompactResidentBytes = 0;
-  C.Compress = NaimCompress::Fast;
-  Loader L(F.P, C);
-  for (RoutineId R : F.Routines) {
-    L.acquire(R);
-    L.release(R);
-  }
-  L.drainSpills();
-  LoaderStats S = L.stats();
-  EXPECT_EQ(S.Offloads, 6u);
-  ASSERT_GT(S.RawBytes, 0u);
-  // Compact IL is varint soup full of repeated patterns; it must shrink.
-  EXPECT_LT(S.CompressedBytes, S.RawBytes);
-  for (unsigned I = 0; I != 6; ++I) {
-    EXPECT_EQ(retValueOf(L.acquire(F.Routines[I])), int64_t(I));
-    L.release(F.Routines[I]);
-  }
-  EXPECT_TRUE(L.firstError().ok());
-}
-
-TEST(Loader, CorruptCompressedRecordWalksTheLadder) {
-  // Corruption of a compressed record rides the same ladder as a raw one:
-  // re-read once, then recover from the object file, never abort.
-  LoaderFixture F(4);
-  LoaderFixture Clean(4);
-  NaimConfig C;
-  C.Mode = NaimMode::Offload;
-  C.ExpandedCacheBytes = 0;
-  C.CompactResidentBytes = 0;
-  C.Compress = NaimCompress::Fast;
-  C.Injector = injector("store:corrupt-nth=1");
-  Loader L(F.P, C);
-  unsigned Recovered = 0;
-  L.setRecoveryHandler([&](RoutineId R) {
-    ++Recovered;
-    std::vector<uint8_t> Bytes =
-        compactRoutine(*Clean.P.routine(R).Slot.Body);
-    return expandRoutine(Bytes, F.P.tracker());
-  });
-  for (RoutineId R : F.Routines) {
-    L.acquire(R);
-    L.release(R);
-  }
-  L.drainSpills();
-  for (unsigned I = 0; I != 4; ++I) {
-    EXPECT_EQ(retValueOf(L.acquire(F.Routines[I])), int64_t(I));
-    L.release(F.Routines[I]);
-  }
-  EXPECT_EQ(Recovered, 1u);
-  EXPECT_EQ(L.stats().Recoveries, 1u);
-  EXPECT_EQ(L.stats().PoisonedPools, 0u);
-  EXPECT_TRUE(L.firstError().ok());
-}
-
-TEST(Loader, CorruptCompressedRecordPoisonsWithoutHandler) {
-  LoaderFixture F(4);
-  NaimConfig C;
-  C.Mode = NaimMode::Offload;
-  C.ExpandedCacheBytes = 0;
-  C.CompactResidentBytes = 0;
-  C.Compress = NaimCompress::Fast;
-  C.Injector = injector("store:corrupt-nth=1");
-  Loader L(F.P, C); // No recovery handler installed.
-  for (RoutineId R : F.Routines) {
-    L.acquire(R);
-    L.release(R);
-  }
-  L.drainSpills();
-  for (RoutineId R : F.Routines)
-    L.acquire(R); // The rotten pool yields a stub, not an abort.
-  EXPECT_EQ(L.stats().PoisonedPools, 1u);
-  EXPECT_EQ(L.firstError().code(), StatusCode::Corruption);
-}
 
 TEST(Loader, CleanRoundTripsElideRepositoryStores) {
   LoaderFixture F(5);
@@ -759,37 +627,6 @@ TEST(Loader, WriteBehindKeepsFetchesCoherent) {
   EXPECT_TRUE(L.firstError().ok());
 }
 
-TEST(Loader, PrefetchFollowsTheAcquisitionSchedule) {
-  LoaderFixture F(6);
-  NaimConfig C;
-  C.Mode = NaimMode::Offload;
-  C.ExpandedCacheBytes = 1u << 20; // Roomy: prefetched bodies stay cached.
-  C.CompactResidentBytes = 0;
-  C.PrefetchDepth = 2;
-  Loader L(F.P, C);
-  // Park everything in the repository first.
-  L.releaseAll();
-  L.enforceBudget(/*Everything=*/true);
-  L.drainSpills();
-  for (RoutineId R : F.Routines)
-    ASSERT_EQ(F.P.routine(R).Slot.State, PoolState::Offloaded);
-  // Hand the loader the upcoming acquisition order; the I/O thread expands
-  // ahead of us. Draining between acquires makes every hit deterministic:
-  // acquire #N uncovers schedule position N + PrefetchDepth.
-  L.setAcquisitionSchedule(F.Routines);
-  L.drainPrefetches();
-  for (unsigned I = 0; I != 6; ++I) {
-    EXPECT_EQ(retValueOf(L.acquireRead(F.Routines[I])), int64_t(I));
-    L.drainPrefetches();
-  }
-  L.clearAcquisitionSchedule();
-  LoaderStats S = L.stats();
-  EXPECT_EQ(S.PrefetchHits, 6u);
-  EXPECT_EQ(S.CacheHits, 6u); // Every acquire landed on a prefetched body.
-  EXPECT_EQ(S.Fetches, 6u);
-  EXPECT_EQ(S.PrefetchWasted, 0u);
-}
-
 TEST(Loader, UnrecoverableCorruptionPoisonsInsteadOfAborting) {
   LoaderFixture F(4);
   NaimConfig C;
@@ -816,207 +653,3 @@ TEST(Loader, UnrecoverableCorruptionPoisonsInsteadOfAborting) {
   EXPECT_TRUE(SawPoison);
 }
 
-//===----------------------------------------------------------------------===//
-// Sharding: placement, per-shard state, budget arbitration, degradation
-//===----------------------------------------------------------------------===//
-
-TEST(Loader, ShardPlacementIsStableAndUsesEveryShard) {
-  LoaderFixture F(32);
-  NaimConfig C;
-  C.Mode = NaimMode::Off;
-  C.Shards = 4;
-  Loader L(F.P, C);
-  EXPECT_EQ(L.shardCount(), 4u);
-  std::vector<unsigned> PerShard(4, 0);
-  for (RoutineId R : F.Routines) {
-    unsigned S = L.shardOf(R);
-    ASSERT_LT(S, 4u);
-    EXPECT_EQ(L.shardOf(R), S); // Placement is a pure function of the id.
-    ++PerShard[S];
-  }
-  // splitmix64 over 32 sequential ids must not leave a shard empty; an
-  // empty shard here would mean the mix degenerated to id % N clustering.
-  for (unsigned S = 0; S != 4; ++S)
-    EXPECT_GT(PerShard[S], 0u) << "shard " << S << " got no routines";
-  // Each shard owns a distinct repository object.
-  EXPECT_NE(&L.repository(0), &L.repository(1));
-  EXPECT_NE(&L.repository(1), &L.repository(3));
-}
-
-TEST(Loader, ShardedOffloadRoundTripsAndStatsSum) {
-  LoaderFixture F(24);
-  NaimConfig C;
-  C.Mode = NaimMode::Offload;
-  C.ExpandedCacheBytes = 0;
-  C.CompactResidentBytes = 0;
-  C.Shards = 4;
-  Loader L(F.P, C);
-  for (RoutineId R : F.Routines) {
-    L.acquire(R);
-    L.release(R);
-  }
-  L.drainSpills();
-  for (RoutineId R : F.Routines)
-    EXPECT_EQ(F.P.routine(R).Slot.State, PoolState::Offloaded);
-  LoaderStats Total = L.stats();
-  EXPECT_EQ(Total.Offloads, 24u);
-  EXPECT_EQ(Total.Shards, 4u);
-  // The facade totals are exactly the per-shard sums: no routine is
-  // double-counted and none is lost to a shard the facade forgot.
-  uint64_t Acq = 0, Off = 0, Comp = 0;
-  for (unsigned S = 0; S != 4; ++S) {
-    LoaderStats Sh = L.shardStats(S);
-    EXPECT_EQ(Sh.Shards, 1u);
-    Acq += Sh.Acquires;
-    Off += Sh.Offloads;
-    Comp += Sh.Compactions;
-  }
-  EXPECT_EQ(Acq, Total.Acquires);
-  EXPECT_EQ(Off, Total.Offloads);
-  EXPECT_EQ(Comp, Total.Compactions);
-  // Every body survives the round trip through its shard's file.
-  for (unsigned I = 0; I != 24; ++I) {
-    EXPECT_EQ(retValueOf(L.acquire(F.Routines[I])), int64_t(I));
-    L.release(F.Routines[I]);
-  }
-  EXPECT_TRUE(L.firstError().ok());
-}
-
-TEST(Loader, OneShardIsTheMonolith) {
-  // --naim-shards=1 must be behaviorally identical to the pre-shard
-  // loader: same compaction count on the same fixed workload (the
-  // TightBudgetCompactsLruFirst scenario), and Shards=0 on a bare Loader
-  // means the same thing.
-  for (unsigned ShardKnob : {0u, 1u}) {
-    LoaderFixture F(8);
-    NaimConfig C;
-    C.Mode = NaimMode::CompactIr;
-    C.ExpandedCacheBytes = 0;
-    C.Shards = ShardKnob;
-    Loader L(F.P, C);
-    EXPECT_EQ(L.shardCount(), 1u);
-    for (RoutineId R : F.Routines) {
-      L.acquire(R);
-      L.release(R);
-    }
-    EXPECT_EQ(L.stats().Compactions, 8u) << "shards=" << ShardKnob;
-    for (RoutineId R : F.Routines)
-      EXPECT_EQ(F.P.routine(R).Slot.State, PoolState::Compact);
-  }
-}
-
-TEST(Loader, SingleShardEnospcDegradesOnlyThatShard) {
-  const unsigned N = 24, Shards = 4;
-  // Probe placement first: the injected clause must address a shard that
-  // actually receives routines.
-  unsigned Target = 0;
-  std::vector<unsigned> PerShard(Shards, 0);
-  {
-    LoaderFixture Probe(N);
-    NaimConfig PC;
-    PC.Mode = NaimMode::Off;
-    PC.Shards = Shards;
-    Loader PL(Probe.P, PC);
-    for (RoutineId R : Probe.Routines)
-      ++PerShard[PL.shardOf(R)];
-    Target = PL.shardOf(Probe.Routines[0]);
-  }
-  ASSERT_GT(PerShard[Target], 1u);
-
-  LoaderFixture F(N);
-  NaimConfig C;
-  C.Mode = NaimMode::Offload;
-  C.ExpandedCacheBytes = 0;
-  C.CompactResidentBytes = 0;
-  C.Shards = Shards;
-  C.Injector = injector("store@" + std::to_string(Target) + ":enospc-nth=1");
-  Loader L(F.P, C);
-  for (RoutineId R : F.Routines) {
-    L.acquire(R);
-    L.release(R);
-  }
-  L.drainSpills();
-  // Only the target shard degraded: its pools stay resident, every other
-  // shard kept offloading to its own healthy file.
-  EXPECT_TRUE(L.degraded());
-  EXPECT_EQ(L.degradedShardCount(), 1u);
-  EXPECT_EQ(L.shardStats(Target).SpillFailures, 1u);
-  EXPECT_EQ(L.shardStats(Target).Offloads, 0u);
-  for (unsigned S = 0; S != Shards; ++S) {
-    if (S == Target)
-      continue;
-    EXPECT_EQ(L.shardStats(S).SpillFailures, 0u) << "shard " << S;
-    EXPECT_EQ(L.shardStats(S).Offloads, uint64_t(PerShard[S]))
-        << "shard " << S;
-  }
-  EXPECT_TRUE(L.firstError().ok()); // Degradation is not an error.
-  bool SawDegrade = false;
-  for (const LoaderEvent &E : L.takeEvents())
-    SawDegrade |= E.K == LoaderEvent::Kind::SpillDegraded;
-  EXPECT_TRUE(SawDegrade);
-  // Every body — resident on the sick shard, offloaded elsewhere — intact.
-  for (unsigned I = 0; I != N; ++I) {
-    EXPECT_EQ(retValueOf(L.acquire(F.Routines[I])), int64_t(I));
-    L.release(F.Routines[I]);
-  }
-}
-
-TEST(Loader, ShardedEvictionIsDeterministic) {
-  // Two identical runs over a sharded loader with a budget tight enough to
-  // trigger arbiter pressure must make identical residency decisions:
-  // victim selection is largest-resident-first with a stable tie-break,
-  // never timing-dependent.
-  auto Run = [](std::vector<uint64_t> &PerShardCompactions) {
-    LoaderFixture F(24);
-    NaimConfig C;
-    C.Mode = NaimMode::CompactIr;
-    C.ExpandedCacheBytes = 4096; // Far below the working set.
-    C.Shards = 4;
-    Loader L(F.P, C);
-    for (RoutineId R : F.Routines) {
-      L.acquire(R);
-      L.release(R);
-    }
-    for (unsigned S = 0; S != 4; ++S)
-      PerShardCompactions.push_back(L.shardStats(S).Compactions);
-  };
-  std::vector<uint64_t> A, B;
-  Run(A);
-  Run(B);
-  EXPECT_EQ(A, B);
-  uint64_t Sum = 0;
-  for (uint64_t X : A)
-    Sum += X;
-  EXPECT_GT(Sum, 0u); // The budget really was under pressure.
-}
-
-TEST(Loader, ShardedPrefetchFollowsTheSchedule) {
-  LoaderFixture F(12);
-  NaimConfig C;
-  C.Mode = NaimMode::Offload;
-  C.ExpandedCacheBytes = 1u << 20;
-  C.CompactResidentBytes = 0;
-  C.PrefetchDepth = 2;
-  C.Shards = 3;
-  Loader L(F.P, C);
-  L.releaseAll();
-  L.enforceBudget(/*Everything=*/true);
-  L.drainSpills();
-  for (RoutineId R : F.Routines)
-    ASSERT_EQ(F.P.routine(R).Slot.State, PoolState::Offloaded);
-  // The facade splits the schedule into per-shard slices preserving
-  // relative order; draining between acquires makes every hit land.
-  L.setAcquisitionSchedule(F.Routines);
-  L.drainPrefetches();
-  for (unsigned I = 0; I != 12; ++I) {
-    EXPECT_EQ(retValueOf(L.acquireRead(F.Routines[I])), int64_t(I));
-    L.drainPrefetches();
-  }
-  L.clearAcquisitionSchedule();
-  LoaderStats S = L.stats();
-  EXPECT_EQ(S.Fetches, 12u);
-  EXPECT_EQ(S.PrefetchHits, 12u);
-  EXPECT_EQ(S.CacheHits, 12u); // Every acquire landed on a prefetched body.
-  EXPECT_EQ(S.PrefetchWasted, 0u);
-  EXPECT_TRUE(L.firstError().ok());
-}
